@@ -10,23 +10,9 @@ Usage: python scripts/star_table.py [--max-n 5]
 
 import argparse
 
-from covertool.associated import (
-    ass_of_power,
-    astab_tree,
-    empirical_astab,
-    max_ideal_in_ass_star,
-)
-from covertool.covers import star_generators
+from covertool.associated import astab_tree, max_ideal_in_ass_star, oracle_sweep
 from covertool.graphs import star_graph
 from covertool.monomials import MonomialPrime
-
-
-def first_power_with_max_ideal(n, t, s_max):
-    maximal = MonomialPrime(frozenset(range(n + 1)))
-    for s in range(1, s_max + 1):
-        if maximal in ass_of_power(star_graph(n), t, s).primes:
-            return s
-    return None
 
 
 def main():
@@ -36,19 +22,20 @@ def main():
 
     print(f"{'n':>3} {'t':>3} {'astab':>6} {'tail':>5} {'m at s':>7}  |Ass| per power")
     for n in range(2, args.max_n + 1):
+        g = star_graph(n)
+        maximal = MonomialPrime(frozenset(range(n + 1)))
         for t in range(2, n + 1):
-            g = star_graph(n)
-            certified = astab_tree(g, t)
-            s_max = certified + 1
-            counts = [
-                len(ass_of_power(g, t, s).primes) for s in range(1, s_max + 1)
-            ]
-            tail = empirical_astab(star_generators(n, t), s_max).astab_value
-            first = first_power_with_max_ideal(n, t, s_max)
+            sweep = oracle_sweep(g, t)
+            first = next(
+                (s for s, primes in enumerate(sweep.per_power, start=1)
+                 if maximal in primes),
+                None,
+            )
             assert first is None or max_ideal_in_ass_star(n, t, first)
-            row = " ".join(f"{c:>4}" for c in counts)
+            row = " ".join(f"{len(primes):>4}" for primes in sweep.per_power)
             print(
-                f"{n:>3} {t:>3} {certified:>6} {tail!s:>5} {first!s:>7}  {row}"
+                f"{n:>3} {t:>3} {astab_tree(g, t):>6} {sweep.astab_value!s:>5} "
+                f"{first!s:>7}  {row}"
             )
 
 

@@ -9,21 +9,20 @@ appended with --include-cycles to show the oracle-only path.
 
 import argparse
 
-from covertool.associated import ass_of_power, astab_tree, predict_ass_tree
+from covertool.associated import ass_of_power, oracle_sweep, predict_ass_tree
 from covertool.catalog import acceptance_trees, nontree_graphs
 
 
 def survey_tree(name, g):
     rows = []
     for t in range(1, g.max_degree() + 1):
-        stop = astab_tree(g, t) + 1
-        ok = True
-        final = 0
-        for s in range(1, stop + 1):
-            oracle = ass_of_power(g, t, s).primes
-            ok = ok and oracle == predict_ass_tree(g, t, s).primes
-            final = len(oracle)
-        rows.append((name, t, stop - 1, final, "MATCH" if ok else "MISMATCH"))
+        per_power = oracle_sweep(g, t).per_power
+        ok = all(
+            oracle == predict_ass_tree(g, t, s).primes
+            for s, oracle in enumerate(per_power, start=1)
+        )
+        verdict = "MATCH" if ok else "MISMATCH"
+        rows.append((name, t, len(per_power) - 1, len(per_power[-1]), verdict))
     return rows
 
 

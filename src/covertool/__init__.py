@@ -19,6 +19,7 @@ from .associated import (
     empirical_astab,
     localization_check,
     max_ideal_in_ass_star,
+    oracle_sweep,
     predict_ass_star,
     predict_ass_tree,
     verify_annihilator_divisibility,

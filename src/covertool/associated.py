@@ -107,18 +107,14 @@ def cover_ideal_checked(g: Graph, t: int) -> MonomialIdeal:
     return ideal
 
 
-def ass_of_power(
-    g: Graph, t: int, s: int, mode: str = "direct", tree_fast_path: bool = False
-) -> AssReport:
+def ass_of_power(g: Graph, t: int, s: int, mode: str = "direct") -> AssReport:
     """Ass(J_t(g)^s) by decomposition or by localization.
 
     Direct mode decomposes the s-th power itself.  Localized mode tests,
     for every connected vertex subset P, whether the maximal ideal of
     the induced subgraph g_P is associated to J_t(g_P)^s on the smaller
     ring; supports inducing disconnected subgraphs never carry an
-    associated prime, which is what licenses the pruning.  With
-    tree_fast_path (trees only) the candidates shrink further to
-    subsets inducing stars.
+    associated prime, which is what licenses the pruning.
     """
     _check_positive("t", t)
     _check_positive("s", s)
@@ -128,24 +124,13 @@ def ass_of_power(
     if mode == "direct":
         primes = associated_primes(ideal_power(ideal, s))
         return AssReport(g.vertices, t, s, "oracle", primes)
-    if tree_fast_path and not g.is_tree():
-        raise ValueError("tree_fast_path is only valid on trees")
     found = []
-    for subset in _localization_candidates(g, tree_fast_path):
-        if _full_prime_associated(g.induced(subset), t, s):
-            found.append(MonomialPrime(frozenset(g.index(v) for v in subset)))
-    return AssReport(g.vertices, t, s, "localized", frozenset(found))
-
-
-def _localization_candidates(g: Graph, tree_fast_path: bool):
-    if tree_fast_path:
-        return enumerate_induced_stars(g, 1, max(g.n - 1, 1))
-    subsets = []
     for size in range(1, g.n + 1):
-        for combo in itertools.combinations(g.vertices, size):
-            if g.induced(combo).is_connected():
-                subsets.append(frozenset(combo))
-    return subsets
+        for subset in itertools.combinations(g.vertices, size):
+            sub = g.induced(subset)
+            if sub.is_connected() and _full_prime_associated(sub, t, s):
+                found.append(MonomialPrime(frozenset(g.index(v) for v in subset)))
+    return AssReport(g.vertices, t, s, "localized", frozenset(found))
 
 
 def _full_prime_associated(sub: Graph, t: int, s: int) -> bool:
@@ -269,6 +254,18 @@ def check_persistence(I: MonomialIdeal, s_max: int) -> StabilityReport:
     if I.is_zero or I.is_unit:
         raise ValueError("stability analysis needs a proper nonzero ideal")
     return _stability_report(I, s_max, "persistence check")
+
+
+def oracle_sweep(g: Graph, t: int, s_max: int | None = None) -> StabilityReport:
+    """Oracle Ass(J_t(g)^s) for s = 1..s_max, building J_t once.
+
+    s_max defaults to the certified stability index plus one, which is
+    only defined on trees.  The tail and persistence verdicts are
+    empirical, as for empirical_astab.
+    """
+    if s_max is None:
+        s_max = astab_tree(g, t) + 1
+    return empirical_astab(cover_ideal_checked(g, t), s_max)
 
 
 def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:

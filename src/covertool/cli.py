@@ -21,8 +21,8 @@ from .associated import (
     astab_tree,
     build_star_witness,
     check_persistence,
-    cover_ideal_checked,
     empirical_astab,
+    oracle_sweep,
     predict_ass_tree,
     verify_annihilator_divisibility,
 )
@@ -104,17 +104,21 @@ def _gens_json(ideal: MonomialIdeal) -> list[str]:
     return [monomial_str(g, ideal.ambient) for g in ideal.gens]
 
 
+def _cover_ideal(obj: Graph | Hypergraph, t: int) -> MonomialIdeal:
+    """J_t of a graph, or the cover ideal of a hypergraph, which has no t."""
+    if isinstance(obj, Graph):
+        return partial_cover_ideal(obj, t)
+    if t != 1:
+        raise CommandError(
+            "hypergraph cover ideals have no t parameter; use --t 1 or omit it"
+        )
+    return hypergraph_cover_ideal(obj)
+
+
 def cmd_ideal(args) -> int:
     obj = _load_input(args.file)
     _check_variable_cap(obj.n, args.force)
-    if isinstance(obj, Graph):
-        ideal = partial_cover_ideal(obj, args.t)
-    else:
-        if args.t != 1:
-            raise CommandError(
-                "hypergraph cover ideals have no t parameter; use --t 1 or omit it"
-            )
-        ideal = hypergraph_cover_ideal(obj)
+    ideal = _cover_ideal(obj, args.t)
     unit = ideal.is_unit
     payload = {
         "schema": SCHEMA_VERSION,
@@ -161,10 +165,7 @@ def cmd_ass(args) -> int:
         modes = ["direct", "localized"] if args.mode == "both" else [args.mode]
         reports = {}
         for mode in modes:
-            try:
-                reports[mode] = ass_of_power(obj, args.t, args.s, mode)
-            except ValueError as exc:
-                raise CommandError(str(exc)) from exc
+            reports[mode] = ass_of_power(obj, args.t, args.s, mode)
         report = reports[modes[0]]
         ambient = report.ambient
         payload["ambient"] = list(ambient)
@@ -178,10 +179,7 @@ def cmd_ass(args) -> int:
             if not agree:
                 exit_code = INTEGRITY_ERROR
         if args.predict:
-            try:
-                predicted = predict_ass_tree(obj, args.t, args.s)
-            except ValueError as exc:
-                raise CommandError(str(exc)) from exc
+            predicted = predict_ass_tree(obj, args.t, args.s)
             match = predicted.primes == report.primes
             payload["predicted"] = _primes_json(predicted.primes, ambient)
             payload["match"] = match
@@ -194,9 +192,9 @@ def cmd_ass(args) -> int:
             raise CommandError("localized mode needs a graph file")
         if args.predict:
             raise CommandError("closed form proven only for trees")
-        ideal = hypergraph_cover_ideal(obj)
-        if ideal.is_unit:
-            raise CommandError("the hypergraph cover ideal is the unit ideal")
+        # A hypergraph file has an edge of three or more vertices, so its
+        # cover ideal is never the unit ideal.
+        ideal = _cover_ideal(obj, args.t)
         primes = associated_primes(ideal_power(ideal, args.s))
         payload["ambient"] = list(obj.vertices)
         payload["direct"] = _primes_json(primes, obj.vertices)
@@ -209,17 +207,13 @@ def cmd_stability(args) -> int:
     obj = _load_input(args.file)
     _check_variable_cap(obj.n, args.force)
     _check_power_cap(args.smax, "smax", args.force)
-    if isinstance(obj, Graph):
-        try:
-            ideal = cover_ideal_checked(obj, args.t)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
-        is_tree = obj.is_tree()
-    else:
-        ideal = hypergraph_cover_ideal(obj)
-        if ideal.is_unit:
-            raise CommandError("the hypergraph cover ideal is the unit ideal")
-        is_tree = False
+    ideal = _cover_ideal(obj, args.t)
+    if ideal.is_unit:
+        raise CommandError(
+            f"J_{args.t} of this graph is the unit ideal: "
+            "no constraints (t exceeds all degrees)"
+        )
+    is_tree = isinstance(obj, Graph) and obj.is_tree()
     report = (
         check_persistence(ideal, args.smax)
         if args.smax >= 2
@@ -370,18 +364,20 @@ def cmd_sweep(args) -> int:
         if t > delta:
             raise CommandError(f"t={t} exceeds the maximum degree {delta}")
     is_tree = obj.is_tree()
-    cells = []
-    mismatch = False
+    smaxes = {}
     for t in ts:
         if args.smax is not None:
-            smax = args.smax
+            smaxes[t] = args.smax
         elif is_tree:
-            smax = astab_tree(obj, t) + 1
+            smaxes[t] = astab_tree(obj, t) + 1
         else:
-            smax = 3
-        _check_power_cap(smax, "smax", args.force)
-        for s in range(1, smax + 1):
-            oracle = ass_of_power(obj, t, s).primes
+            smaxes[t] = 3
+        _check_power_cap(smaxes[t], "smax", args.force)
+    cells = []
+    mismatch = False
+    for t, smax in smaxes.items():
+        per_power = oracle_sweep(obj, t, smax).per_power
+        for s, oracle in enumerate(per_power, start=1):
             cell = {
                 "t": t,
                 "s": s,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .associated import astab_tree, empirical_astab
 from .covers import star_generators
 from .graphs import Hypergraph, star_graph
-from .monomials import Monomial, MonomialIdeal, minimalize
+from .monomials import Monomial, MonomialIdeal, alexander_dual, minimalize
 
 Coloring = dict[str, int]
 
@@ -23,19 +23,10 @@ GAP_FAMILY_CAP = 3
 
 
 def hypergraph_cover_ideal(h: Hypergraph) -> MonomialIdeal:
-    """The ideal of minimal vertex covers (transversals) of h."""
-    n = h.n
-    edge_sets = [set(e) for e in h.edges]
-    kept: list[set[str]] = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(h.vertices, size):
-            w = set(combo)
-            if any(k <= w for k in kept):
-                continue
-            if all(w & e for e in edge_sets):
-                kept.append(w)
-    gens = [Monomial.from_support([h.index(v) for v in w], n) for w in kept]
-    return minimalize(h.vertices, gens)
+    """The ideal of minimal vertex covers (transversals) of h: the
+    Alexander dual of its edge ideal."""
+    edges = [Monomial.from_support([h.index(v) for v in e], h.n) for e in h.edges]
+    return alexander_dual(minimalize(h.vertices, edges))
 
 
 def is_proper_coloring(h: Hypergraph, coloring: Coloring) -> bool:

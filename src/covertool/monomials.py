@@ -143,10 +143,6 @@ class MonomialIdeal:
         return len(self.gens) == 1 and self.gens[0].is_one
 
     @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
-    @property
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree for g in self.gens)
 
@@ -375,9 +371,10 @@ def witness_search(I: MonomialIdeal, P: MonomialPrime) -> Monomial | None:
 def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
     """The Alexander dual of a square-free ideal.
 
-    Generators are the minimal transversals of the generator supports;
-    this swaps generators with irreducible-component supports and is an
-    involution on square-free ideals.
+    Generators are the minimal transversals of the generator supports.
+    The irreducible components of a square-free ideal are exactly the
+    primes on those transversals, so the dual is read off the
+    decomposition; it is an involution on square-free ideals.
     """
     if not I.is_squarefree:
         raise ValueError("Alexander duality is defined for square-free ideals only")
@@ -385,18 +382,11 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
         return zero_ideal(I.ambient)
     if I.is_zero:
         return unit_ideal(I.ambient)
-    supports = [set(g.support) for g in I.gens]
-    universe = sorted(set().union(*supports))
-    kept: list[set[int]] = []
-    for size in range(len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            s = set(combo)
-            if any(k <= s for k in kept):
-                continue
-            if all(s & supp for supp in supports):
-                kept.append(s)
     n = I.nvars
-    return minimalize(I.ambient, [Monomial.from_support(s, n) for s in kept])
+    return minimalize(
+        I.ambient,
+        [Monomial.from_support(c.support, n) for c in irreducible_decomposition(I)],
+    )
 
 
 # Serialization: `x1^2*x3` style, exponent 1 elided, `1` for the empty

@@ -1,4 +1,4 @@
-"""Shared fixtures and the acceptance summary hook.
+"""Shared fixtures, the hypothesis profile and the acceptance summary hook.
 
 Tests named test_criterion_NN in test_acceptance.py get one
 "ACCEPTANCE NN: PASS/FAIL" line in the terminal summary, so the
@@ -9,6 +9,12 @@ regardless of output capture settings.
 import re
 
 import pytest
+from hypothesis import settings
+
+# Tier-1 draws the same hypothesis examples on every run; per-test
+# max_examples settings still apply on top of this profile.
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 _CRITERION = re.compile(r"test_criterion_0*(\d+)")
 _acceptance_outcomes = {}
@@ -40,15 +46,11 @@ def tree_sweep():
     Computed once; the closed-form and the stability criteria both read
     from it so the expensive powers are shared.
     """
-    from covertool.associated import ass_of_power, astab_tree
+    from covertool.associated import oracle_sweep
     from covertool.catalog import acceptance_trees
 
-    results = {}
-    for name, g in acceptance_trees():
-        for t in range(1, g.max_degree() + 1):
-            stop = astab_tree(g, t) + 1
-            per_power = [
-                ass_of_power(g, t, s).primes for s in range(1, stop + 1)
-            ]
-            results[name, t] = (g, per_power)
-    return results
+    return {
+        (name, t): (g, oracle_sweep(g, t).per_power)
+        for name, g in acceptance_trees()
+        for t in range(1, g.max_degree() + 1)
+    }

@@ -12,6 +12,7 @@ from covertool.associated import (
     empirical_astab,
     localization_check,
     max_ideal_in_ass_star,
+    oracle_sweep,
     predict_ass_star,
     predict_ass_tree,
     verify_annihilator_divisibility,
@@ -73,13 +74,6 @@ class TestAssOfPower:
             direct = ass_of_power(g, t, s, "direct")
             localized = ass_of_power(g, t, s, "localized")
             assert direct.primes == localized.primes
-
-    def test_tree_fast_path(self):
-        g = star_graph(4)
-        fast = ass_of_power(g, 2, 3, "localized", tree_fast_path=True)
-        assert fast.primes == ass_of_power(g, 2, 3).primes
-        with pytest.raises(ValueError, match="trees"):
-            ass_of_power(cycle_graph(4), 2, 1, "localized", tree_fast_path=True)
 
 
 class TestMaxIdealCriterion:
@@ -216,6 +210,25 @@ class TestStability:
         g = spider(1, 1, 2)
         report = check_persistence(partial_cover_ideal(g, 2), 3)
         assert report.persistence_ok
+
+
+class TestOracleSweep:
+    def test_matches_per_power_oracle(self):
+        for g, t in ((star_graph(4), 2), (path_graph(5), 2), (spider(1, 1, 2), 1)):
+            report = oracle_sweep(g, t)
+            assert len(report.per_power) == astab_tree(g, t) + 1
+            for s, primes in enumerate(report.per_power, start=1):
+                assert primes == ass_of_power(g, t, s).primes, (g, t, s)
+            assert report.astab_value == astab_tree(g, t)
+
+    def test_non_tree_needs_s_max(self):
+        with pytest.raises(ValueError, match="trees"):
+            oracle_sweep(cycle_graph(5), 2)
+        assert oracle_sweep(cycle_graph(5), 2, 4).astab_value == 3
+
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(ValueError, match="no constraints"):
+            oracle_sweep(path_graph(4), 3, 2)
 
 
 class TestWitness:

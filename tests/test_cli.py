@@ -120,6 +120,12 @@ class TestAss:
         assert code == 1
         assert "graph file" in err
 
+    def test_hypergraph_rejects_t3(self, graph_file, capsys):
+        code, out, err = run(capsys, "ass", "--t", "3", "--s", "2", graph_file(H1))
+        assert code == 1
+        assert out == ""
+        assert "no t parameter" in err
+
     def test_power_cap(self, graph_file, capsys):
         code, _, err = run(capsys, "ass", "--t", "1", "--s", "7", graph_file(STAR3))
         assert code == 1
@@ -169,6 +175,21 @@ class TestStability:
         )
         assert code == 1
         assert "no constraints" in err
+
+    def test_hypergraph_rejects_t3(self, graph_file, capsys):
+        code, out, err = run(
+            capsys, "stability", "--t", "3", "--smax", "2", graph_file(H1)
+        )
+        assert code == 1
+        assert out == ""
+        assert "no t parameter" in err
+
+    def test_hypergraph_t1(self, graph_file, capsys):
+        code, out, _ = run(
+            capsys, "stability", "--t", "1", "--smax", "3", graph_file(H1)
+        )
+        assert code == 0
+        assert "persistence: OK" in out
 
 
 class TestWitness:
@@ -236,6 +257,35 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", graph_file(H1))
         assert code == 1
         assert "graph file" in err
+
+    def test_nonpositive_smax_rejected(self, graph_file, capsys):
+        code, out, err = run(capsys, "sweep", "--smax", "0", graph_file(P4))
+        assert code == 1
+        assert out == ""
+        assert "s_max must be a positive integer" in err
+
+    def test_caps_checked_before_oracle_work(self, graph_file, capsys, monkeypatch):
+        # On K_{1,7} the t=1 cells are cheap and within the caps, but t=2
+        # needs smax = astab + 1 = 7 > 6: the whole grid must be refused
+        # before any power is decomposed.
+        from covertool import associated
+
+        calls = []
+        oracle = associated.associated_primes
+
+        def spy(ideal):
+            calls.append(ideal)
+            return oracle(ideal)
+
+        monkeypatch.setattr(associated, "associated_primes", spy)
+        leaves = [f"x{i}" for i in range(1, 8)]
+        star7 = "vertices: z " + " ".join(leaves) + "\n"
+        star7 += "".join(f"edge: z {x}\n" for x in leaves)
+        code, out, err = run(capsys, "sweep", graph_file(star7))
+        assert code == 1
+        assert out == ""
+        assert "smax=7 > 6" in err
+        assert calls == []
 
 
 class TestErrorsAndFormats:

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from transversals import edge_ideal, reference_dual
 
 from covertool.catalog import hypergraph_corpus
 from covertool.covers import star_generators
@@ -55,6 +56,13 @@ class TestCoverIdeal:
                 ],
             )
             assert alexander_dual(I) == edges, name
+
+    def test_matches_transversal_reference(self):
+        edgeless = Hypergraph.build(("a", "b"), [])
+        for name, h in hypergraph_corpus() + [("edgeless", edgeless)]:
+            expected = reference_dual(edge_ideal(h))
+            assert hypergraph_cover_ideal(h) == expected, name
+        assert hypergraph_cover_ideal(edgeless).is_unit
 
 
 class TestColoring:

@@ -10,7 +10,10 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from transversals import reference_dual
 
+from covertool.catalog import graph_corpus
+from covertool.covers import generalized_edge_ideal, partial_cover_ideal
 from covertool.monomials import (
     IrreducibleComponent,
     Monomial,
@@ -286,11 +289,22 @@ class TestAlexanderDual:
 
     def test_dual_generator_supports_are_associated_primes(self):
         # Alexander duality: for square-free ideals the dual's generators
-        # correspond exactly to the (minimal) primes of the original.
+        # correspond exactly to the (minimal) primes of the original,
+        # and both are the minimal transversals found by brute force.
         I = ideal(X4, "x1*x2", "x2*x3", "x1*x3*x4")
-        dual_supports = {frozenset(g.support) for g in alexander_dual(I).gens}
+        dual = alexander_dual(I)
+        assert dual == reference_dual(I)
+        dual_supports = {frozenset(g.support) for g in dual.gens}
         ass_supports = {p.support for p in associated_primes(I)}
         assert dual_supports == ass_supports
+
+    def test_matches_transversal_reference_on_corpus(self):
+        for name, g in graph_corpus():
+            for t in range(1, g.max_degree() + 1):
+                cover = partial_cover_ideal(g, t)
+                edges = generalized_edge_ideal(g, t)
+                assert alexander_dual(cover) == reference_dual(cover), (name, t)
+                assert alexander_dual(edges) == reference_dual(edges), (name, t)
 
 
 # Randomized law checks.  Everything is tiny (up to 4 variables, degree
@@ -355,6 +369,7 @@ def test_duality_involution_on_squarefree(supports):
     ambient = ("x1", "x2", "x3", "x4")
     gens = [Monomial(tuple(int(b) for b in row)) for row in supports]
     I = minimalize(ambient, gens)
+    assert alexander_dual(I) == reference_dual(I)
     assert alexander_dual(alexander_dual(I)) == I
 
 
