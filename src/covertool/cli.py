@@ -26,7 +26,7 @@ from .associated import (
     predict_ass_tree,
     verify_annihilator_divisibility,
 )
-from .covers import generalized_edge_ideal, partial_cover_ideal
+from .covers import partial_cover_ideal
 from .graphs import Graph, Hypergraph, ParseError, parse_hypergraph
 from .hypercovers import hypergraph_cover_ideal, verify_gap
 from .monomials import (
@@ -139,10 +139,7 @@ def cmd_ideal(args) -> int:
     if args.dual:
         if unit:
             raise CommandError("the unit ideal has no Alexander dual here")
-        if isinstance(obj, Graph):
-            dual = generalized_edge_ideal(obj, args.t)
-        else:
-            dual = alexander_dual(ideal)
+        dual = alexander_dual(ideal)
         payload["dual_generators"] = _gens_json(dual)
         lines.append("dual: " + _gens_text(dual))
     _emit(args, payload, lines)
@@ -162,6 +159,7 @@ def cmd_ass(args) -> int:
     lines: list[str] = []
     exit_code = OK
     if isinstance(obj, Graph):
+        at = f" at t={args.t} s={args.s}"
         modes = ["direct", "localized"] if args.mode == "both" else [args.mode]
         reports = {}
         for mode in modes:
@@ -175,7 +173,7 @@ def cmd_ass(args) -> int:
         if len(modes) == 2:
             agree = reports["direct"].primes == reports["localized"].primes
             payload["modes_agree"] = agree
-            lines.append("modes agree" if agree else "MISMATCH: modes disagree")
+            lines.append("modes agree" if agree else f"MISMATCH: modes disagree{at}")
             if not agree:
                 exit_code = INTEGRITY_ERROR
         if args.predict:
@@ -184,7 +182,7 @@ def cmd_ass(args) -> int:
             payload["predicted"] = _primes_json(predicted.primes, ambient)
             payload["match"] = match
             lines.append(f"predicted: {_primes_text(predicted.primes, ambient)}")
-            lines.append("MATCH" if match else "MISMATCH: prediction differs")
+            lines.append("MATCH" if match else f"MISMATCH: prediction differs{at}")
             if not match:
                 exit_code = INTEGRITY_ERROR
     else:
@@ -253,8 +251,8 @@ def cmd_stability(args) -> int:
         lines.append(f"astab: {certified} (certified)")
         if report.astab_value is not None and report.astab_value != certified:
             lines.append(
-                f"MISMATCH: empirical tail starts at {report.astab_value}, "
-                f"formula says {certified}"
+                f"MISMATCH at t={args.t}: empirical tail starts at "
+                f"s={report.astab_value}, formula says s={certified}"
             )
             exit_code = INTEGRITY_ERROR
     else:
@@ -374,6 +372,7 @@ def cmd_sweep(args) -> int:
             smaxes[t] = 3
         _check_power_cap(smaxes[t], "smax", args.force)
     cells = []
+    lines = []
     mismatch = False
     for t, smax in smaxes.items():
         per_power = oracle_sweep(obj, t, smax).per_power
@@ -383,13 +382,22 @@ def cmd_sweep(args) -> int:
                 "s": s,
                 "oracle": _primes_json(oracle, obj.vertices),
             }
+            line = f"t={t} s={s} |Ass|={len(oracle)}"
             if is_tree:
                 predicted = predict_ass_tree(obj, t, s).primes
                 cell["predicted"] = _primes_json(predicted, obj.vertices)
                 cell["match"] = predicted == oracle
+                verdict = "MATCH" if cell["match"] else "MISMATCH"
+                line += f" predicted={len(predicted)} {verdict}"
                 if not cell["match"]:
                     mismatch = True
+                    only = [
+                        _primes_text(a - b, obj.vertices) or "none"
+                        for a, b in ((oracle, predicted), (predicted, oracle))
+                    ]
+                    line += f" oracle-only: {only[0]}; predicted-only: {only[1]}"
             cells.append(cell)
+            lines.append(line)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "sweep",
@@ -397,15 +405,6 @@ def cmd_sweep(args) -> int:
         "tree": is_tree,
         "cells": cells,
     }
-    lines = []
-    for cell in cells:
-        line = f"t={cell['t']} s={cell['s']} |Ass|={len(cell['oracle'])}"
-        if "match" in cell:
-            line += (
-                f" predicted={len(cell['predicted'])} "
-                + ("MATCH" if cell["match"] else "MISMATCH")
-            )
-        lines.append(line)
     lines.append(
         "result: "
         + ("MISMATCH found" if mismatch else "all cells consistent")
@@ -495,10 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return OPERATIONAL_ERROR
-    except ValueError as exc:
+    except (CommandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return OPERATIONAL_ERROR
 

@@ -114,7 +114,11 @@ class Hypergraph:
                 raise ValueError(f"hyperedge {sorted(e)} has fewer than two vertices")
             if not e <= seen:
                 raise ValueError(f"hyperedge {sorted(e)} uses unknown vertices")
-        for e, f in itertools.combinations(self.edges, 2):
+        # Walk edges by their vertex indices so the error names the same
+        # pair on every run, whatever the string hash seed.
+        order = {v: i for i, v in enumerate(self.vertices)}
+        ranked = sorted(self.edges, key=lambda e: sorted(order[v] for v in e))
+        for e, f in itertools.combinations(ranked, 2):
             if e < f or f < e:
                 raise ValueError(
                     f"not simple: edge {sorted(e)} is comparable with {sorted(f)}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 
 
 @dataclass(frozen=True)
@@ -172,13 +173,6 @@ def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
-def _with_gen(gens, g) -> tuple[tuple[int, ...], ...]:
-    """Add one generator to an already-minimal canonical tuple."""
-    if any(_divides(k, g) for k in gens):
-        return gens
-    return tuple(sorted([k for k in gens if not _divides(g, k)] + [g], key=_canon_key))
-
-
 def minimalize(ambient, gens) -> MonomialIdeal:
     """The ideal generated by `gens`, reduced to minimal generators."""
     ambient = tuple(ambient)
@@ -256,61 +250,34 @@ def ideal_contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
 
 
 # Inside the decomposition, an irreducible component <x_i^{e_i}> is a
-# full-length vector with _INF marking absent variables.  Containment of
-# components is then a pointwise comparison: C >= D exactly when the
-# vector of C is <= the vector of D everywhere.
-_INF = float("inf")
+# full-length exponent vector in which `top`, one more than the largest
+# exponent of the ideal, marks an absent variable.  A component C
+# contains D exactly when the vector of C lies pointwise below the
+# vector of D, so C is then redundant in the intersection.
 
+def _decompose(gens, nvars, top):
+    """Irredundant component vectors, adding generators one at a time.
 
-def _merge_irredundant(a, b):
-    """Minimal elements of two internally irredundant component sets."""
-    sa, sb = set(a), set(b)
-    common = sa & sb
-    kept = list(common)
-    for c in sa - common:
-        if not any(all(x <= y for x, y in zip(c, d)) for d in b):
-            kept.append(c)
-    for c in sb - common:
-        if not any(all(x <= y for x, y in zip(c, d)) for d in a):
-            kept.append(c)
-    return tuple(sorted(kept))
-
-
-def _decompose(gens, nvars, memo):
-    """Recursive splitting into irreducible components.
-
-    Splits the first generator (canonical order) that is not a pure
-    power as x_i^a * v, with x_i its lowest-index variable, and recurses
-    on the two enlarged ideals.  Redundant components are discarded at
-    every merge, so the result is irredundant and order-independent.
+    A component that already contains the next generator g is kept; any
+    other component is replaced by its tightenings at the variables of
+    g.  Only the pointwise-maximal vectors survive each step.
     """
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    split = None
+    comps = [(top,) * nvars]
     for g in gens:
-        support = [i for i, e in enumerate(g) if e > 0]
-        if len(support) > 1:
-            split = (g, support[0])
-            break
-    if split is None:
-        # Every generator is a pure power: the ideal is irreducible.
-        vec = [_INF] * nvars
-        for g in gens:
-            for i, e in enumerate(g):
-                if e:
-                    vec[i] = e
-        result = (tuple(vec),)
-    else:
-        g, i = split
-        pure = tuple(g[i] if j == i else 0 for j in range(len(g)))
-        rest = tuple(0 if j == i else e for j, e in enumerate(g))
-        result = _merge_irredundant(
-            _decompose(_with_gen(gens, pure), nvars, memo),
-            _decompose(_with_gen(gens, rest), nvars, memo),
-        )
-    memo[gens] = result
-    return result
+        support = [(i, e) for i, e in enumerate(g) if e]
+        kept, new = [], set()
+        for c in comps:
+            if any(e >= c[i] for i, e in support):
+                kept.append(c)
+            else:
+                new.update(c[:i] + (e,) + c[i + 1:] for i, e in support)
+        pool = kept + list(new)
+        comps = kept + [
+            c
+            for c in new
+            if not any(c != d and all(map(le, c, d)) for d in pool)
+        ]
+    return comps
 
 
 @lru_cache(maxsize=None)
@@ -320,10 +287,9 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
         raise ValueError("the zero ideal has no irreducible decomposition here")
     if I.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
-    vecs = _decompose(tuple(g.exps for g in I.gens), I.nvars, {})
-    comps = [
-        tuple((i, e) for i, e in enumerate(v) if e != _INF) for v in vecs
-    ]
+    top = 1 + max(max(g.exps) for g in I.gens)
+    vecs = _decompose(tuple(g.exps for g in I.gens), I.nvars, top)
+    comps = [tuple((i, e) for i, e in enumerate(v) if e != top) for v in vecs]
     ordered = sorted(comps, key=lambda c: (len(c), c))
     return tuple(IrreducibleComponent(c) for c in ordered)
 

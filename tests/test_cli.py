@@ -5,11 +5,18 @@ captured output, so the full argument-parsing and rendering path is
 exercised without spawning subprocesses.
 """
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from covertool import cli
 from covertool.cli import main
+from covertool.monomials import sorted_primes
 
 P4 = "vertices: x1 x2 x3 x4\nedge: x1 x2\nedge: x2 x3\nedge: x3 x4\n"
 STAR3 = "vertices: z x1 x2 x3\nedge: z x1\nedge: z x2\nedge: z x3\n"
@@ -343,6 +350,26 @@ class TestErrorsAndFormats:
         assert payload["generators"] == ["x2", "x3", "x1*x4"]
         assert payload["unit_ideal"] is False
 
+    def test_non_simple_error_ignores_hash_seed(self, graph_file):
+        # Edge order inside a frozenset follows the string hash seed; the
+        # error must name the same pair of edges in every process.
+        path = graph_file("vertices: a b c\nedge: a b c\nedge: a b\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        errors = set()
+        for seed in range(8):
+            result = subprocess.run(
+                [sys.executable, "-m", "covertool.cli", "ideal", path],
+                env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=str(seed)),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert result.returncode == 1
+            errors.add(result.stderr)
+        assert len(errors) == 1
+        assert "edge ['a', 'b'] is comparable with ['a', 'b', 'c']" in errors.pop()
+
     def test_json_witness(self, capsys):
         code, out, _ = run(
             capsys,
@@ -353,3 +380,67 @@ class TestErrorsAndFormats:
         assert payload["T"] == "x1*x2*x3"
         assert payload["not_in_power"] and payload["colon_equals_prime"]
         assert payload["annihilator_divides"]
+
+
+def _drop_first_prime(report):
+    kept = sorted_primes(report.primes)[1:]
+    return dataclasses.replace(report, primes=frozenset(kept))
+
+
+class TestIntegrityFailures:
+    """Each exit-3 path, forced by falsifying the value its check compares
+    against; the output must name the failing cell."""
+
+    def test_ass_prediction_mismatch(self, graph_file, capsys, monkeypatch):
+        predict = cli.predict_ass_tree
+        monkeypatch.setattr(
+            cli, "predict_ass_tree", lambda *a: _drop_first_prime(predict(*a))
+        )
+        code, out, _ = run(
+            capsys, "ass", "--t", "2", "--s", "1", "--predict", graph_file(P4)
+        )
+        assert code == 3
+        assert out.splitlines()[-1] == "MISMATCH: prediction differs at t=2 s=1"
+
+    def test_ass_modes_disagree(self, graph_file, capsys, monkeypatch):
+        ass = cli.ass_of_power
+
+        def broken(g, t, s, mode):
+            report = ass(g, t, s, mode)
+            return _drop_first_prime(report) if mode == "localized" else report
+
+        monkeypatch.setattr(cli, "ass_of_power", broken)
+        code, out, _ = run(
+            capsys,
+            "ass", "--t", "2", "--s", "2", "--mode", "both", graph_file(STAR3),
+        )
+        assert code == 3
+        assert out.splitlines()[-1] == "MISMATCH: modes disagree at t=2 s=2"
+
+    def test_sweep_mismatch_lists_differing_primes(
+        self, graph_file, capsys, monkeypatch
+    ):
+        predict = cli.predict_ass_tree
+        monkeypatch.setattr(
+            cli, "predict_ass_tree", lambda *a: _drop_first_prime(predict(*a))
+        )
+        code, out, _ = run(capsys, "sweep", "--t", "2", graph_file(P4))
+        assert code == 3
+        assert out.splitlines() == [
+            "t=2 s=1 |Ass|=2 predicted=1 MISMATCH "
+            "oracle-only: <x1, x2, x3>; predicted-only: none",
+            "t=2 s=2 |Ass|=2 predicted=1 MISMATCH "
+            "oracle-only: <x1, x2, x3>; predicted-only: none",
+            "result: MISMATCH found",
+        ]
+
+    def test_stability_astab_mismatch(self, graph_file, capsys, monkeypatch):
+        astab = cli.astab_tree
+        monkeypatch.setattr(cli, "astab_tree", lambda g, t: astab(g, t) + 1)
+        code, out, _ = run(
+            capsys, "stability", "--t", "2", "--smax", "4", graph_file(STAR4)
+        )
+        assert code == 3
+        assert out.splitlines()[-1] == (
+            "MISMATCH at t=2: empirical tail starts at s=3, formula says s=4"
+        )

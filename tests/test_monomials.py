@@ -8,12 +8,14 @@ so they are independent of the code under test.
 import itertools
 
 import pytest
+from decompositions import reference_decomposition
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from transversals import reference_dual
+from transversals import edge_ideal, reference_dual
 
-from covertool.catalog import graph_corpus
+from covertool.catalog import graph_corpus, hypergraph_corpus
 from covertool.covers import generalized_edge_ideal, partial_cover_ideal
+from covertool.hypercovers import hypergraph_cover_ideal
 from covertool.monomials import (
     IrreducibleComponent,
     Monomial,
@@ -205,6 +207,21 @@ class TestDecomposition:
             acc = part if acc is None else ideal_intersection(acc, part)
         assert acc == J
 
+    def test_matches_splitting_reference_on_corpus(self):
+        cells = [
+            ((name, t), partial_cover_ideal(g, t), (1, 2))
+            for name, g in graph_corpus()
+            for t in range(1, g.max_degree() + 1)
+        ]
+        for name, h in hypergraph_corpus():
+            cells.append(((name, "cover"), hypergraph_cover_ideal(h), (1, 2, 3)))
+            cells.append(((name, "edges"), edge_ideal(h), (1, 2, 3)))
+        for key, base, powers in cells:
+            for s in powers:
+                power = ideal_power(base, s)
+                expected = reference_decomposition(power)
+                assert irreducible_decomposition(power) == expected, (key, s)
+
     def test_rejects_unit_and_zero(self):
         with pytest.raises(ValueError):
             irreducible_decomposition(unit_ideal(X4))
@@ -351,6 +368,7 @@ def test_product_inside_intersection(I, J):
 def test_decomposition_round_trip(I):
     if I.is_zero or I.is_unit:
         return
+    assert irreducible_decomposition(I) == reference_decomposition(I)
     acc = None
     for comp in irreducible_decomposition(I):
         part = comp.as_ideal(I.ambient)
