@@ -239,7 +239,7 @@ def cmd_stability(args) -> int:
         lines.append("persistence: OK")
     else:
         lines.append(
-            f"persistence: VIOLATED at s={report.first_violation} "
+            f"persistence: VIOLATED at t={args.t} s={report.first_violation} "
             f"(Ass^{report.first_violation} not within the next power)"
         )
         exit_code = INTEGRITY_ERROR
@@ -307,6 +307,10 @@ def cmd_witness(args) -> int:
         f"divisibility bound T | z^e*(x1..x{args.n})^(s-e-1): "
         f"{'PASS' if divides else 'FAIL'}",
     ]
+    if not (passes and divides):
+        lines.append(
+            f"MISMATCH: witness fails at n={args.n} t={args.t} s={args.s}"
+        )
     _emit(args, payload, lines)
     return OK if (passes and divides) else INTEGRITY_ERROR
 
@@ -334,17 +338,26 @@ def cmd_gap(args) -> int:
         "baseline_holds": report.baseline_holds,
         "ideal_matches_star": report.ideal_matches_star,
     }
-    verdict = "HOLDS" if report.gap_holds else "VIOLATED"
+    violated = f"VIOLATED at m={report.m}"
     lines = [
         f"H_{report.m}: chi={report.chi}, astab={report.astab} "
         f"(oracle tail: {report.oracle_astab})",
-        f"gap bound chi-1+m = {report.gap_bound} <= astab: {verdict}"
+        f"gap bound chi-1+m = {report.gap_bound} <= astab: "
+        f"{'HOLDS' if report.gap_holds else violated}"
         + (" (equality)" if report.gap_is_equality else ""),
         f"baseline chi-1 <= astab: "
-        f"{'HOLDS' if report.baseline_holds else 'VIOLATED'}",
+        f"{'HOLDS' if report.baseline_holds else violated}",
     ]
     if not report.ideal_matches_star:
-        lines.append("MISMATCH: cover ideal differs from the star closed form")
+        lines.append(
+            f"MISMATCH at m={report.m}: cover ideal differs from the star "
+            "closed form"
+        )
+    if report.oracle_astab != report.astab:
+        lines.append(
+            f"MISMATCH at m={report.m}: oracle tail starts at "
+            f"s={report.oracle_astab}, formula says s={report.astab}"
+        )
     _emit(args, payload, lines)
     return OK if report.all_checks_pass else INTEGRITY_ERROR
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import le
 
 
 @dataclass(frozen=True)
@@ -152,9 +151,27 @@ class MonomialIdeal:
 
 
 # Internal helpers work on raw exponent tuples to keep hot paths light.
+# The two comparison-heavy loops, minimalization and decomposition, pack
+# each vector into one int: exponent i sits in field i, bits
+# [i*w, (i+1)*w), whose top bit is a guard bit no exponent reaches.
+# With H the mask of all guard bits, k <= e pointwise exactly when
+# ((e | H) - k) & H == H: each field computes guard + e_i - k_i, which
+# never borrows from the next field and keeps its guard bit iff
+# k_i <= e_i.
 
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _layout(bound: int, nvars: int) -> tuple[int, int]:
+    """Field width and guard mask for vectors with entries <= bound: the
+    bit length of bound plus one guard bit, so no entry can overflow."""
+    width = bound.bit_length() + 1
+    guard = 1 << (width - 1)
+    return width, sum(guard << (i * width) for i in range(nvars))
+
+
+def _pack(e: tuple[int, ...], width: int) -> int:
+    packed = 0
+    for x in reversed(e):
+        packed = (packed << width) | x
+    return packed
 
 
 def _canon_key(e: tuple[int, ...]):
@@ -165,11 +182,32 @@ def _canon_key(e: tuple[int, ...]):
 
 
 def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
-    """Drop every vector strictly divisible by another; sort canonically."""
+    """Drop every vector strictly divisible by another; sort canonically.
+
+    A proper divisor has strictly smaller degree and distinct vectors of
+    equal degree never divide each other, so each candidate is compared
+    only with the kept vectors of smaller degree.
+    """
+    vecs = sorted(set(exps_list), key=_canon_key)
+    if not vecs:
+        return ()
+    largest = max(itertools.chain.from_iterable(vecs), default=0)
+    width, H = _layout(largest, len(vecs[0]))
     kept: list[tuple[int, ...]] = []
-    for e in sorted(set(exps_list), key=_canon_key):
-        if not any(_divides(k, e) for k in kept):
+    below: list[int] = []  # packed kept vectors of smaller degree
+    level: list[int] = []  # packed kept vectors of the current degree
+    degree = None
+    for e in vecs:
+        d = sum(e)
+        if d != degree:
+            below += level
+            level = []
+            degree = d
+        p = _pack(e, width)
+        # Whether some k in below divides e, with the loop run in C.
+        if H not in map(H.__and__, map((p | H).__sub__, below)):
             kept.append(e)
+            level.append(p)
     return tuple(kept)
 
 
@@ -261,23 +299,40 @@ def _decompose(gens, nvars, top):
     A component that already contains the next generator g is kept; any
     other component is replaced by its tightenings at the variables of
     g.  Only the pointwise-maximal vectors survive each step.
+
+    Components are packed (see `_layout`) with their guard bits set, so
+    k <= c is (c - k) & H == H.  A component c misses g exactly when
+    g + 1 <= c on the support of g, and a tightening at variable i
+    clears the exponent bits of field i and writes g_i there.
     """
-    comps = [(top,) * nvars]
+    width, H = _layout(top, nvars)
+    low = (1 << (width - 1)) - 1  # the exponent bits of one field
+    comps = [_pack((top,) * nvars, width) | H]
     for g in gens:
-        support = [(i, e) for i, e in enumerate(g) if e]
-        kept, new = [], set()
-        for c in comps:
-            if any(e >= c[i] for i, e in support):
-                kept.append(c)
-            else:
-                new.update(c[:i] + (e,) + c[i + 1:] for i, e in support)
+        above = _pack(tuple(e + 1 if e else 0 for e in g), width)
+        tighten = [
+            (~(low << i * width), e << i * width)
+            for i, e in enumerate(g)
+            if e
+        ]
+        misses = list(map(H.__and__, map(above.__rsub__, comps)))
+        kept = list(itertools.compress(comps, map(H.__ne__, misses)))
+        new = {
+            c & clear | value
+            for c in itertools.compress(comps, map(H.__eq__, misses))
+            for clear, value in tighten
+        }
+        # A tightening never equals a kept component (that one would lie
+        # below the component it came from), so a new vector c is
+        # redundant exactly when it lies below some d != c in kept + new:
+        # c itself is one hit, a second one is a proper cover.
         pool = kept + list(new)
         comps = kept + [
             c
             for c in new
-            if not any(c != d and all(map(le, c, d)) for d in pool)
+            if list(map(H.__and__, map((c ^ H).__rsub__, pool))).count(H) < 2
         ]
-    return comps
+    return [tuple((c >> i * width) & low for i in range(nvars)) for c in comps]
 
 
 @lru_cache(maxsize=None)

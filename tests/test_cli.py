@@ -444,3 +444,53 @@ class TestIntegrityFailures:
         assert out.splitlines()[-1] == (
             "MISMATCH at t=2: empirical tail starts at s=3, formula says s=4"
         )
+
+    def test_stability_persistence_violated(self, graph_file, capsys, monkeypatch):
+        check = cli.check_persistence
+
+        def broken(ideal, s_max):
+            report = check(ideal, s_max)
+            return dataclasses.replace(
+                report, persistence_ok=False, first_violation=1
+            )
+
+        monkeypatch.setattr(cli, "check_persistence", broken)
+        code, out, _ = run(
+            capsys, "stability", "--t", "2", "--smax", "3", graph_file(STAR4)
+        )
+        assert code == 3
+        assert (
+            "persistence: VIOLATED at t=2 s=1 (Ass^1 not within the next power)"
+            in out.splitlines()
+        )
+
+    def test_witness_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_annihilator_divisibility", lambda *a: False)
+        code, out, _ = run(capsys, "witness", "--n", "3", "--t", "2", "--s", "2")
+        assert code == 3
+        assert out.splitlines()[-1] == "MISMATCH: witness fails at n=3 t=2 s=2"
+
+    def test_gap_violated(self, capsys, monkeypatch):
+        verify = cli.verify_gap
+
+        def broken(m, s_max=None, force=False):
+            report = verify(m, s_max=s_max, force=force)
+            return dataclasses.replace(
+                report,
+                oracle_astab=report.astab + 1,
+                gap_holds=False,
+                gap_is_equality=False,
+                baseline_holds=False,
+                ideal_matches_star=False,
+            )
+
+        monkeypatch.setattr(cli, "verify_gap", broken)
+        code, out, _ = run(capsys, "gap", "--m", "2")
+        assert code == 3
+        assert out.splitlines() == [
+            "H_2: chi=2, astab=3 (oracle tail: 4)",
+            "gap bound chi-1+m = 3 <= astab: VIOLATED at m=2",
+            "baseline chi-1 <= astab: VIOLATED at m=2",
+            "MISMATCH at m=2: cover ideal differs from the star closed form",
+            "MISMATCH at m=2: oracle tail starts at s=4, formula says s=3",
+        ]

@@ -11,10 +11,18 @@ import pytest
 from decompositions import reference_decomposition
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from minimalizers import (
+    reference_colon,
+    reference_intersection,
+    reference_minimalize,
+    reference_power,
+    reference_product,
+)
 from transversals import edge_ideal, reference_dual
 
 from covertool.catalog import graph_corpus, hypergraph_corpus
 from covertool.covers import generalized_edge_ideal, partial_cover_ideal
+from covertool.graphs import star_graph
 from covertool.hypercovers import hypergraph_cover_ideal
 from covertool.monomials import (
     IrreducibleComponent,
@@ -161,6 +169,93 @@ class TestIdealArithmetic:
             ideal_product(ideal(X4, "x1"), ideal(ZX3, "z"))
         with pytest.raises(ValueError):
             colon(ideal(X4, "x1"), Monomial((1, 0)))
+
+
+class TestMatchesPairwiseReference:
+    def test_graph_corpus_powers(self):
+        # Each J_t^s (s <= 3) is also multiplied with, intersected with and
+        # added to the next J_t' of the same graph, and divided by the
+        # product of all variables and by its own last generator.  The
+        # mixed products stop at s = 2: at s = 3 the pairwise reference
+        # alone takes several seconds on K_{1,6}.
+        for name, g in graph_corpus():
+            covers = [
+                partial_cover_ideal(g, t) for t in range(1, g.max_degree() + 1)
+            ]
+            full = Monomial((1,) * g.n)
+            for t, J in enumerate(covers, start=1):
+                other = covers[t % len(covers)]
+                for s in (1, 2, 3):
+                    key = (name, t, s)
+                    power = ideal_power(J, s)
+                    assert power == reference_power(J, s), key
+                    for m in (full, power.gens[-1]):
+                        assert colon(power, m) == reference_colon(power, m), key
+                    vectors = [m.exps for m in power.gens + other.gens]
+                    assert minimalize(
+                        g.vertices, [Monomial(e) for e in vectors]
+                    ) == reference_minimalize(g.vertices, vectors), key
+                    if s < 3:
+                        assert ideal_product(power, other) == reference_product(
+                            power, other
+                        ), key
+                        assert ideal_intersection(
+                            power, other
+                        ) == reference_intersection(power, other), key
+
+    def test_star_power_with_1393_generators(self):
+        J = partial_cover_ideal(star_graph(6), 3)
+        power = ideal_power(J, 4)
+        assert len(power.gens) == 1393
+        assert power == reference_power(J, 4)
+
+
+def _boundary_ideals():
+    """Ideals whose exponents sit at the edges of a packed field: 2^k - 1
+    fills k bits and 2^k needs one more, so a field without its guard
+    bit, or one bit too narrow, borrows or carries into a neighbour."""
+    for k in range(1, 7):
+        for v in (2**k - 1, 2**k):
+            yield [
+                (v, 0, 0),
+                (0, v, 0),
+                (0, 0, v),
+                (v - 1, 1, 0),
+                (1, v - 1, 1),
+                (0, 1, v - 1),
+                (v - 1, v - 1, 1),
+            ]
+            yield [(v, v, 0), (v, 0, v), (0, v, v), (1, v, 1)]
+    big = 2**70
+    yield [(big, 0, 0), (1, 1, 0), (0, 3, 0), (0, 0, big - 1)]
+    yield [(big, 1, 0), (big - 1, 0, 1), (0, big, big), (3, 2, 2), (1, 0, 5)]
+    yield [(big, 0, 2), (1, big, 0), (2, 1, 1), (0, 2, 7), (5, 0, 0)]
+
+
+class TestFieldWidthBoundaries:
+    def test_minimalize_product_power(self):
+        for vectors in _boundary_ideals():
+            ambient = ("a", "b", "c")
+            # Every pairwise lcm, so that divisibility is decided between
+            # vectors that differ at the field edge.
+            mixed = vectors + [
+                tuple(map(max, u, w)) for u in vectors for w in vectors
+            ]
+            assert minimalize(
+                ambient, [Monomial(e) for e in mixed]
+            ) == reference_minimalize(ambient, mixed), vectors
+            I = reference_minimalize(ambient, vectors)
+            assert minimalize(ambient, [Monomial(e) for e in vectors]) == I
+            assert ideal_product(I, I) == reference_product(I, I), vectors
+            assert ideal_power(I, 3) == reference_power(I, 3), vectors
+
+    def test_decomposition(self):
+        for vectors in _boundary_ideals():
+            I = minimalize(("a", "b", "c"), [Monomial(e) for e in vectors])
+            for power in (I, ideal_power(I, 2)):
+                assert irreducible_decomposition(power) == reference_decomposition(
+                    power
+                ), vectors
 
 
 class TestDecomposition:
@@ -324,16 +419,21 @@ class TestAlexanderDual:
                 assert alexander_dual(edges) == reference_dual(edges), (name, t)
 
 
-# Randomized law checks.  Everything is tiny (up to 4 variables, degree
-# 3) so the laws are exercised across many shapes rather than deeply.
+# Randomized law checks.  Everything is small (4 variables, up to 7
+# generators, exponents up to 3) so the laws are exercised across many
+# shapes rather than deeply; 7 generators in 4 variables are enough for
+# redundant components and non-minimal products to occur.
 
-def exponents(nvars):
+NVARS = 4
+
+
+def exponents(nvars=NVARS):
     return st.tuples(*([st.integers(0, 3)] * nvars))
 
 
 @st.composite
-def ideals_strategy(draw, nvars=3, allow_trivial=False):
-    gens = draw(st.lists(exponents(nvars), min_size=1, max_size=4))
+def ideals_strategy(draw, nvars=NVARS, allow_trivial=False):
+    gens = draw(st.lists(exponents(nvars), min_size=1, max_size=7))
     ambient = tuple(f"x{i}" for i in range(1, nvars + 1))
     result = minimalize(ambient, [Monomial(e) for e in gens])
     if not allow_trivial and result.is_unit:
@@ -343,17 +443,19 @@ def ideals_strategy(draw, nvars=3, allow_trivial=False):
     return result
 
 
-@given(ideals_strategy(), exponents(3), exponents(3))
+@given(ideals_strategy(), exponents(), exponents())
 def test_colon_membership_law(I, t_exps, m_exps):
     t, m = Monomial(t_exps), Monomial(m_exps)
     assert contains(colon(I, t), m) == contains(I, m * t)
+    assert colon(I, t) == reference_colon(I, t)
 
 
-@given(ideals_strategy(), ideals_strategy(), exponents(3))
+@given(ideals_strategy(), ideals_strategy(), exponents())
 def test_intersection_membership_law(I, J, m_exps):
     m = Monomial(m_exps)
     both = contains(I, m) and contains(J, m)
     assert contains(ideal_intersection(I, J), m) == both
+    assert ideal_intersection(I, J) == reference_intersection(I, J)
 
 
 @given(ideals_strategy(), ideals_strategy())
@@ -361,6 +463,11 @@ def test_product_inside_intersection(I, J):
     product = ideal_product(I, J)
     meet = ideal_intersection(I, J)
     assert ideal_contains_ideal(meet, product)
+    assert product == reference_product(I, J)
+    vectors = [g.exps for g in I.gens + J.gens]
+    assert minimalize(I.ambient, I.gens + J.gens) == reference_minimalize(
+        I.ambient, vectors
+    )
 
 
 @settings(max_examples=60)
@@ -380,6 +487,7 @@ def test_decomposition_round_trip(I):
 @given(ideals_strategy())
 def test_power_two_is_self_product(I):
     assert ideal_power(I, 2) == ideal_product(I, I)
+    assert ideal_power(I, 3) == reference_power(I, 3)
 
 
 @given(st.lists(st.tuples(*([st.booleans()] * 4)), min_size=1, max_size=4))
