@@ -14,7 +14,6 @@ from .associated import (
     ass_of_power,
     astab_tree,
     build_star_witness,
-    check_persistence,
     connectivity_check,
     empirical_astab,
     localization_check,

@@ -50,17 +50,14 @@ class StabilityReport:
 
     astab_value is the start of the constant tail when one of length at
     least two is visible below s_max, otherwise None (a tail of length
-    one says nothing).  certified stays False unless a proven formula
-    backs the value; this module only ever reports empirical tails.
-    first_violation is the least s with Ass^s not contained in
-    Ass^{s+1}, or None.
+    one says nothing).  The value is always empirical: a proven formula,
+    where there is one, lives elsewhere (astab_tree).  first_violation
+    is the least s with Ass^s not contained in Ass^{s+1}, or None.
     """
 
-    description: str
     s_max: int
     per_power: tuple[frozenset[MonomialPrime], ...]
     astab_value: int | None
-    certified: bool
     persistence_ok: bool
     first_violation: int | None
 
@@ -207,9 +204,16 @@ def astab_tree(g: Graph, t: int) -> int:
     return math.ceil((delta - 1) / (t - 1))
 
 
-def _stability_report(
-    I: MonomialIdeal, s_max: int, description: str
-) -> StabilityReport:
+def empirical_astab(I: MonomialIdeal, s_max: int) -> StabilityReport:
+    """Ass(I^s) for s = 1..s_max, with the start of a constant tail and
+    the persistence verdict (Ass^s within Ass^{s+1} for every s < s_max).
+
+    The tail is empirical: a constant tail can in principle resume
+    changing past s_max, so the value is never certified here.
+    """
+    _check_positive("s_max", s_max)
+    if I.is_zero or I.is_unit:
+        raise ValueError("stability analysis needs a proper nonzero ideal")
     per_power = tuple(
         associated_primes(ideal_power(I, s)) for s in range(1, s_max + 1)
     )
@@ -225,35 +229,12 @@ def _stability_report(
             first_violation = s
             break
     return StabilityReport(
-        description=description,
         s_max=s_max,
         per_power=per_power,
         astab_value=astab,
-        certified=False,
         persistence_ok=first_violation is None,
         first_violation=first_violation,
     )
-
-
-def empirical_astab(I: MonomialIdeal, s_max: int) -> StabilityReport:
-    """Look for the start of a constant tail of Ass(I^s) up to s_max.
-
-    The answer is empirical: a constant tail can in principle resume
-    changing past s_max, so the value is never certified here.
-    """
-    _check_positive("s_max", s_max)
-    if I.is_zero or I.is_unit:
-        raise ValueError("stability analysis needs a proper nonzero ideal")
-    return _stability_report(I, s_max, "empirical (uncertified beyond s_max)")
-
-
-def check_persistence(I: MonomialIdeal, s_max: int) -> StabilityReport:
-    """Verify Ass(I^s) is contained in Ass(I^{s+1}) for s < s_max."""
-    if s_max < 2:
-        raise ValueError("persistence needs s_max >= 2 to compare anything")
-    if I.is_zero or I.is_unit:
-        raise ValueError("stability analysis needs a proper nonzero ideal")
-    return _stability_report(I, s_max, "persistence check")
 
 
 def oracle_sweep(g: Graph, t: int, s_max: int | None = None) -> StabilityReport:

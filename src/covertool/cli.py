@@ -20,7 +20,6 @@ from .associated import (
     ass_of_power,
     astab_tree,
     build_star_witness,
-    check_persistence,
     empirical_astab,
     oracle_sweep,
     predict_ass_tree,
@@ -42,6 +41,7 @@ from .monomials import (
 SCHEMA_VERSION = 1
 MAX_POWER = 6
 MAX_VARIABLES = 12
+GAP_FAMILY_CAP = 3
 
 OK, OPERATIONAL_ERROR, USAGE_ERROR, INTEGRITY_ERROR = 0, 1, 2, 3
 
@@ -212,11 +212,7 @@ def cmd_stability(args) -> int:
             "no constraints (t exceeds all degrees)"
         )
     is_tree = isinstance(obj, Graph) and obj.is_tree()
-    report = (
-        check_persistence(ideal, args.smax)
-        if args.smax >= 2
-        else empirical_astab(ideal, args.smax)
-    )
+    report = empirical_astab(ideal, args.smax)
     ambient = ideal.ambient
     exit_code = OK
     payload: dict = {
@@ -317,13 +313,9 @@ def cmd_witness(args) -> int:
 
 def cmd_gap(args) -> int:
     _check_power_cap(args.smax or 0, "smax", args.force)
-    try:
-        report = verify_gap(args.m, s_max=args.smax, force=args.force)
-    except ValueError as exc:
-        message = str(exc)
-        if "cap" in message:
-            message = f"cap exceeded: m={args.m} (override with --force)"
-        raise CommandError(message) from exc
+    if args.m > GAP_FAMILY_CAP and not args.force:
+        raise CommandError(f"cap exceeded: m={args.m} (override with --force)")
+    report = verify_gap(args.m, s_max=args.smax)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "gap",
@@ -338,10 +330,15 @@ def cmd_gap(args) -> int:
         "baseline_holds": report.baseline_holds,
         "ideal_matches_star": report.ideal_matches_star,
     }
+    # Too few powers to show a tail of length two refutes nothing.
+    tail = report.oracle_astab
+    if tail is None:
+        tail = f"not determined up to s_max={report.s_max}"
+    tail_refuted = report.oracle_astab not in (None, report.astab)
     violated = f"VIOLATED at m={report.m}"
     lines = [
         f"H_{report.m}: chi={report.chi}, astab={report.astab} "
-        f"(oracle tail: {report.oracle_astab})",
+        f"(oracle tail: {tail})",
         f"gap bound chi-1+m = {report.gap_bound} <= astab: "
         f"{'HOLDS' if report.gap_holds else violated}"
         + (" (equality)" if report.gap_is_equality else ""),
@@ -353,13 +350,14 @@ def cmd_gap(args) -> int:
             f"MISMATCH at m={report.m}: cover ideal differs from the star "
             "closed form"
         )
-    if report.oracle_astab != report.astab:
+    if tail_refuted:
         lines.append(
             f"MISMATCH at m={report.m}: oracle tail starts at "
             f"s={report.oracle_astab}, formula says s={report.astab}"
         )
     _emit(args, payload, lines)
-    return OK if report.all_checks_pass else INTEGRITY_ERROR
+    holds = report.gap_holds and report.baseline_holds and report.ideal_matches_star
+    return OK if holds and not tail_refuted else INTEGRITY_ERROR
 
 
 def cmd_sweep(args) -> int:

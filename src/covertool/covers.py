@@ -1,10 +1,13 @@
 """Partial t-cover ideals of graphs.
 
 J_t(G) is the intersection, over every vertex x and every t-subset S of
-its neighbourhood, of the prime generated by {x} together with S.  Its
-minimal generators are exactly the products x_W over minimal partial
-t-covers W, and both constructions live here so they can be checked
-against each other.
+its neighbourhood, of the prime generated by {x} together with S.  By
+Alexander duality that intersection is the dual of the square-free
+ideal generated by the closed t-star products x*x_S, so J_t is read off
+the decomposition engine like every other cover ideal.  Its minimal
+generators are also exactly the products x_W over minimal partial
+t-covers W; the dual and that enumeration live here so they can be
+checked against each other.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     alexander_dual,
-    ideal_intersection,
     minimalize,
     monomial_str,
-    unit_ideal,
 )
 
 
@@ -64,26 +65,28 @@ def enumerate_minimal_partial_covers(g: Graph, t: int) -> list[tuple[str, ...]]:
     return sorted(covers, key=lambda w: (len(w), tuple(order[v] for v in w)))
 
 
-def partial_cover_ideal(g: Graph, t: int) -> MonomialIdeal:
-    """J_t(g) as the intersection over vertices and t-subsets of neighbourhoods.
-
-    Vertices of degree below t contribute no factor; if no vertex has
-    degree at least t the empty intersection leaves the unit ideal.
-    """
+def _star_products(g: Graph, t: int) -> MonomialIdeal:
+    """x*x_S for every vertex x and t-subset S of N(x), minimalized; the
+    zero ideal when no vertex has degree at least t."""
     _check_t(t)
-    ambient = g.vertices
-    n = len(ambient)
-    result = unit_ideal(ambient)
-    for x in g.vertices:
-        xi = g.index(x)
-        for subset in itertools.combinations(g.neighbors(x), t):
-            prime = minimalize(
-                ambient,
-                [Monomial.variable(xi, n)]
-                + [Monomial.variable(g.index(y), n) for y in subset],
-            )
-            result = ideal_intersection(result, prime)
-    return result
+    return minimalize(
+        g.vertices,
+        [
+            Monomial.from_support([g.index(v) for v in (x, *subset)], g.n)
+            for x in g.vertices
+            for subset in itertools.combinations(g.neighbors(x), t)
+        ],
+    )
+
+
+def partial_cover_ideal(g: Graph, t: int) -> MonomialIdeal:
+    """J_t(g): the Alexander dual of the closed t-star products, i.e. the
+    cover ideal of the hypergraph of closed t-stars.
+
+    Vertices of degree below t contribute no star; if no vertex has
+    degree at least t the dual of the zero ideal is the unit ideal.
+    """
+    return alexander_dual(_star_products(g, t))
 
 
 def star_generators(n: int, t: int) -> MonomialIdeal:
@@ -108,14 +111,13 @@ def star_generators(n: int, t: int) -> MonomialIdeal:
 def generalized_edge_ideal(g: Graph, t: int) -> MonomialIdeal:
     """The Alexander dual of J_t(g): for t=1 the edge ideal, in general
     generated by x times the products of t-subsets of each N(x)."""
-    _check_t(t)
-    cover = partial_cover_ideal(g, t)
-    if cover.is_unit:
+    ideal = _star_products(g, t)
+    if ideal.is_zero:
         raise ValueError(
             f"J_{t} is the unit ideal (no vertex has degree >= {t}); "
             "its dual is not defined"
         )
-    return alexander_dual(cover)
+    return ideal
 
 
 @dataclass(frozen=True)

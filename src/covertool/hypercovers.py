@@ -19,8 +19,6 @@ from .monomials import Monomial, MonomialIdeal, alexander_dual, minimalize
 
 Coloring = dict[str, int]
 
-GAP_FAMILY_CAP = 3
-
 
 def hypergraph_cover_ideal(h: Hypergraph) -> MonomialIdeal:
     """The ideal of minimal vertex covers (transversals) of h: the
@@ -80,7 +78,8 @@ class GapReport:
 
     astab is the certified value from the tree formula (the cover ideal
     of H_m coincides with J_2 of a star); oracle_astab is the empirical
-    tail start up to s_max and should agree.  gap_bound is chi - 1 + m.
+    tail start up to s_max and should agree, or None when s_max is too
+    short to show a tail of length two.  gap_bound is chi - 1 + m.
     """
 
     m: int
@@ -104,21 +103,15 @@ class GapReport:
         )
 
 
-def verify_gap(m: int, s_max: int | None = None, force: bool = False) -> GapReport:
+def verify_gap(m: int, s_max: int | None = None) -> GapReport:
     """Check chi(H_m) - 1 + m <= astab(J(H_m)) and the baseline bound.
 
     The certified astab comes from the star identity J(H_m) =
     J_2(K_{1,m+2}); the oracle recomputes the tail empirically up to
-    s_max (default astab + 1).  m is capped for desk-scale runs unless
-    force is set.
+    s_max (default astab + 1).
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if m > GAP_FAMILY_CAP and not force:
-        raise ValueError(
-            f"m={m} exceeds the default cap of {GAP_FAMILY_CAP}; "
-            "pass force=True to override"
-        )
     h = build_gap_family(m)
     chi = chromatic_number(h)
     ideal = hypergraph_cover_ideal(h)

@@ -7,7 +7,6 @@ from covertool.associated import (
     ass_of_power,
     astab_tree,
     build_star_witness,
-    check_persistence,
     connectivity_check,
     empirical_astab,
     localization_check,
@@ -172,7 +171,6 @@ class TestStability:
         )
         report = empirical_astab(I, 3)
         assert report.astab_value == 1
-        assert not report.certified
         assert report.persistence_ok
 
     def test_star_tail(self):
@@ -196,19 +194,22 @@ class TestStability:
         I = star_generators(3, 2)
         with pytest.raises(ValueError):
             empirical_astab(I, 0)
-        with pytest.raises(ValueError):
-            check_persistence(I, 1)
+        with pytest.raises(ValueError, match="proper nonzero"):
+            empirical_astab(minimalize(I.ambient, []), 2)
+        # A single power has nothing to compare: persistence holds vacuously.
+        report = empirical_astab(I, 1)
+        assert report.persistence_ok and report.first_violation is None
 
     def test_persistence_examples(self):
-        assert check_persistence(star_generators(4, 2), 4).persistence_ok
+        assert empirical_astab(star_generators(4, 2), 4).persistence_ok
         ambient = ("x1", "x2")
         I = minimalize(ambient, [monomial_from_str("x1*x2", ambient)])
-        report = check_persistence(I, 3)
+        report = empirical_astab(I, 3)
         assert report.persistence_ok and report.first_violation is None
 
     def test_persistence_on_tree_sample(self):
         g = spider(1, 1, 2)
-        report = check_persistence(partial_cover_ideal(g, 2), 3)
+        report = empirical_astab(partial_cover_ideal(g, 2), 3)
         assert report.persistence_ok
 
 

@@ -237,6 +237,19 @@ class TestGap:
         assert code == 0
         assert "H_2: chi=2, astab=3" in out
 
+    def test_short_sweep_is_not_a_mismatch(self, capsys):
+        # s_max <= astab cannot show a tail of length two; nothing is refuted.
+        for argv, smax in (
+            (("--m", "2", "--smax", "3"), 3),
+            (("--m", "4", "--smax", "2", "--force"), 2),
+        ):
+            code, out, _ = run(capsys, "gap", *argv)
+            assert code == 0, argv
+            assert "MISMATCH" not in out
+            assert out.splitlines()[0].endswith(
+                f"(oracle tail: not determined up to s_max={smax})"
+            )
+
     def test_cap(self, capsys):
         code, _, err = run(capsys, "gap", "--m", "9")
         assert code == 1
@@ -446,7 +459,7 @@ class TestIntegrityFailures:
         )
 
     def test_stability_persistence_violated(self, graph_file, capsys, monkeypatch):
-        check = cli.check_persistence
+        check = cli.empirical_astab
 
         def broken(ideal, s_max):
             report = check(ideal, s_max)
@@ -454,7 +467,7 @@ class TestIntegrityFailures:
                 report, persistence_ok=False, first_violation=1
             )
 
-        monkeypatch.setattr(cli, "check_persistence", broken)
+        monkeypatch.setattr(cli, "empirical_astab", broken)
         code, out, _ = run(
             capsys, "stability", "--t", "2", "--smax", "3", graph_file(STAR4)
         )
@@ -473,8 +486,8 @@ class TestIntegrityFailures:
     def test_gap_violated(self, capsys, monkeypatch):
         verify = cli.verify_gap
 
-        def broken(m, s_max=None, force=False):
-            report = verify(m, s_max=s_max, force=force)
+        def broken(m, s_max=None):
+            report = verify(m, s_max=s_max)
             return dataclasses.replace(
                 report,
                 oracle_astab=report.astab + 1,

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from covers_reference import reference_cover_ideal
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from covertool.covers import (
 from covertool.graphs import Graph, cycle_graph, path_graph, spider, star_graph
 from covertool.monomials import (
     Monomial,
+    alexander_dual,
     ideal_contains_ideal,
     ideal_str,
     minimalize,
@@ -101,6 +103,17 @@ class TestPartialCoverIdeal:
                 built = minimalize(g.vertices, cover_monomials(g, covers))
                 assert built == partial_cover_ideal(g, t), (name, t)
 
+    def test_matches_intersection_reference(self):
+        # The dual of the star products against the prime-by-prime
+        # intersection of the definition; t = max degree + 1 checks the
+        # unit ideal on both sides.
+        stars = [(f"K_1,{n}", star_graph(n)) for n in range(1, 9)]
+        for name, g in list(graph_corpus()) + stars:
+            for t in range(1, g.max_degree() + 2):
+                assert partial_cover_ideal(g, t) == reference_cover_ideal(
+                    g, t
+                ), (name, t)
+
     def test_monotone_in_t(self):
         for _, g in graph_corpus():
             delta = g.max_degree()
@@ -159,7 +172,8 @@ class TestGeneralizedEdgeIdeal:
         assert ideal_str(I) == "[x1*x2*x3, x2*x3*x4]"
 
     def test_direct_neighbourhood_formula(self):
-        # x times each t-subset of N(x), over all x, minimalized.
+        # x times each t-subset of N(x), over all x, minimalized, is the
+        # dual of J_t read off its decomposition.
         for name, g in graph_corpus():
             for t in range(1, g.max_degree() + 1):
                 gens = []
@@ -167,13 +181,12 @@ class TestGeneralizedEdgeIdeal:
                     for sub in itertools.combinations(g.neighbors(x), t):
                         support = [g.index(x)] + [g.index(y) for y in sub]
                         gens.append(Monomial.from_support(support, g.n))
-                assert generalized_edge_ideal(g, t) == minimalize(
-                    g.vertices, gens
-                ), (name, t)
+                formula = minimalize(g.vertices, gens)
+                dual = alexander_dual(partial_cover_ideal(g, t))
+                assert dual == formula, (name, t)
+                assert generalized_edge_ideal(g, t) == formula, (name, t)
 
     def test_involution(self):
-        from covertool.monomials import alexander_dual
-
         g = cycle_graph(5)
         I = partial_cover_ideal(g, 2)
         assert alexander_dual(generalized_edge_ideal(g, 2)) == I

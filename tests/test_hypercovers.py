@@ -4,10 +4,10 @@ import pytest
 from transversals import edge_ideal, reference_dual
 
 from covertool.catalog import hypergraph_corpus
+from covertool.cli import GAP_FAMILY_CAP
 from covertool.covers import star_generators
 from covertool.graphs import Hypergraph
 from covertool.hypercovers import (
-    GAP_FAMILY_CAP,
     build_gap_family,
     chromatic_number,
     find_coloring,
@@ -139,13 +139,14 @@ class TestVerifyGap:
             assert report.all_checks_pass, m
 
     def test_cap(self):
-        with pytest.raises(ValueError, match="force=True"):
-            verify_gap(GAP_FAMILY_CAP + 1)
+        # The desk-scale cap on m is a CLI limit; the library runs any m.
+        report = verify_gap(GAP_FAMILY_CAP + 1, s_max=1)
+        assert report.m == GAP_FAMILY_CAP + 1 and report.gap_holds
 
     def test_force_with_short_sweep(self):
-        # Overriding the cap but keeping s_max small: the certified gap
+        # Past the CLI cap but with s_max small: the certified gap
         # still holds, while the oracle tail cannot be pinned down yet.
-        report = verify_gap(4, s_max=2, force=True)
+        report = verify_gap(4, s_max=2)
         assert report.astab == 5 and report.gap_holds
         assert report.oracle_astab is None
         assert not report.all_checks_pass
