@@ -330,11 +330,9 @@ def cmd_gap(args) -> int:
         "baseline_holds": report.baseline_holds,
         "ideal_matches_star": report.ideal_matches_star,
     }
-    # Too few powers to show a tail of length two refutes nothing.
     tail = report.oracle_astab
-    if tail is None:
+    if report.tail_undetermined:
         tail = f"not determined up to s_max={report.s_max}"
-    tail_refuted = report.oracle_astab not in (None, report.astab)
     violated = f"VIOLATED at m={report.m}"
     lines = [
         f"H_{report.m}: chi={report.chi}, astab={report.astab} "
@@ -350,14 +348,13 @@ def cmd_gap(args) -> int:
             f"MISMATCH at m={report.m}: cover ideal differs from the star "
             "closed form"
         )
-    if tail_refuted:
+    if report.oracle_astab != report.astab and not report.tail_undetermined:
         lines.append(
             f"MISMATCH at m={report.m}: oracle tail starts at "
             f"s={report.oracle_astab}, formula says s={report.astab}"
         )
     _emit(args, payload, lines)
-    holds = report.gap_holds and report.baseline_holds and report.ideal_matches_star
-    return OK if holds and not tail_refuted else INTEGRITY_ERROR
+    return INTEGRITY_ERROR if report.refuted else OK
 
 
 def cmd_sweep(args) -> int:

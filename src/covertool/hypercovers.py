@@ -10,7 +10,7 @@ verifies both inequalities with the oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .associated import astab_tree, empirical_astab
 from .covers import star_generators
@@ -101,6 +101,23 @@ class GapReport:
             and self.ideal_matches_star
             and self.oracle_astab == self.astab
         )
+
+    @property
+    def tail_undetermined(self) -> bool:
+        """No tail found because s_max <= astab is too short to show one.
+
+        Past astab the formula says Ass^{s_max-1} = Ass^{s_max}, so a
+        missing tail there refutes it and is not undetermined.
+        """
+        return self.oracle_astab is None and self.s_max <= self.astab
+
+    @property
+    def refuted(self) -> bool:
+        """Some check came out false; an undetermined tail is not false."""
+        report = self
+        if self.tail_undetermined:
+            report = replace(self, oracle_astab=self.astab)
+        return not report.all_checks_pass
 
 
 def verify_gap(m: int, s_max: int | None = None) -> GapReport:

@@ -507,3 +507,21 @@ class TestIntegrityFailures:
             "MISMATCH at m=2: cover ideal differs from the star closed form",
             "MISMATCH at m=2: oracle tail starts at s=4, formula says s=3",
         ]
+
+    def test_gap_missing_tail_past_astab(self, capsys, monkeypatch):
+        # With the default s_max = astab + 1 the formula says the tail has
+        # started, so finding none refutes it rather than being undetermined.
+        verify = cli.verify_gap
+
+        def broken(m, s_max=None):
+            return dataclasses.replace(verify(m, s_max=s_max), oracle_astab=None)
+
+        monkeypatch.setattr(cli, "verify_gap", broken)
+        code, out, _ = run(capsys, "gap", "--m", "2")
+        assert code == 3
+        assert out.splitlines() == [
+            "H_2: chi=2, astab=3 (oracle tail: None)",
+            "gap bound chi-1+m = 3 <= astab: HOLDS (equality)",
+            "baseline chi-1 <= astab: HOLDS",
+            "MISMATCH at m=2: oracle tail starts at s=None, formula says s=3",
+        ]

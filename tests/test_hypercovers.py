@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from transversals import edge_ideal, reference_dual
@@ -150,6 +151,19 @@ class TestVerifyGap:
         assert report.astab == 5 and report.gap_holds
         assert report.oracle_astab is None
         assert not report.all_checks_pass
+
+    def test_undetermined_tail_is_not_refuted(self):
+        # s_max <= astab cannot show a tail of length two.
+        report = verify_gap(2, s_max=3)
+        assert report.oracle_astab is None and report.tail_undetermined
+        assert not report.refuted and not report.all_checks_pass
+        assert replace(report, gap_holds=False).refuted
+
+    def test_missing_tail_past_astab_is_refuted(self):
+        report = replace(verify_gap(2), oracle_astab=None)
+        assert report.s_max == report.astab + 1
+        assert not report.tail_undetermined and report.refuted
+        assert not verify_gap(2).refuted
 
     def test_invalid_m(self):
         with pytest.raises(ValueError):
