@@ -201,18 +201,23 @@ def find_special_vertex(g: Graph) -> SpecialVertex:
 def enumerate_induced_stars(g: Graph, rmin: int, rmax: int) -> list[frozenset[str]]:
     """All vertex subsets inducing a star K_{1,r} with rmin <= r <= rmax.
 
+    Each is a centre v plus r pairwise non-adjacent neighbours of v; an
+    edge (K_{1,1}) arises from both of its ends and is listed once.
     Ordered by subset size, then lexicographically on the sorted labels.
     """
     if not 1 <= rmin <= rmax:
         raise ValueError("need 1 <= rmin <= rmax")
-    found = []
-    for size in range(rmin + 1, rmax + 2):
-        for combo in itertools.combinations(g.vertices, size):
-            shape = star_shape(g.induced(combo))
-            if shape is not None and rmin <= shape.r <= rmax:
-                found.append(frozenset(combo))
-    found.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return found
+    found = set()
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
+        for r in range(rmin, min(rmax, len(nbrs)) + 1):
+            for leaves in itertools.combinations(nbrs, r):
+                if not any(
+                    frozenset(pair) in g.edges
+                    for pair in itertools.combinations(leaves, 2)
+                ):
+                    found.add(frozenset((v, *leaves)))
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 # Named constructions used throughout the test corpus and scripts.

@@ -21,6 +21,8 @@ from covertool.covers import partial_cover_ideal, star_generators
 from covertool.graphs import cycle_graph, path_graph, spider, star_graph
 from covertool.monomials import (
     MonomialPrime,
+    associated_primes,
+    ideal_power,
     minimalize,
     monomial_from_str,
 )
@@ -114,6 +116,13 @@ class TestPredictStar:
     def test_t_above_n_rejected(self):
         with pytest.raises(ValueError):
             predict_ass_star(3, 4, 1)
+
+    def test_oracle_on_large_cells(self):
+        # 3,432 generators and 6,378 components, then 7,198 and 11,832.
+        for n, t, s in ((7, 2, 7), (8, 3, 4)):
+            power = ideal_power(star_generators(n, t), s)
+            expected = predict_ass_star(n, t, s).primes
+            assert associated_primes(power) == expected, (n, t, s)
 
 
 class TestPredictTree:

@@ -1,7 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from stars_reference import reference_induced_stars
 
+from covertool.catalog import graph_corpus
 from covertool.graphs import (
     Graph,
     Hypergraph,
@@ -152,6 +158,15 @@ class TestSpecialVertex:
             find_special_vertex(cycle_graph(4))
 
 
+def _benchmark_trees():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module.tree_corpus()
+
+
 class TestInducedStars:
     def test_path_has_only_small_stars(self):
         stars = enumerate_induced_stars(path_graph(4), 1, 3)
@@ -172,6 +187,30 @@ class TestInducedStars:
     def test_canonical_order(self):
         stars = enumerate_induced_stars(path_graph(5), 1, 2)
         assert stars == sorted(stars, key=lambda s: (len(s), tuple(sorted(s))))
+
+    def test_matches_subset_search(self):
+        # Every corpus graph (C4 and C5 included) and the benchmark's 30
+        # trees, for every range 1 <= rmin <= rmax <= n.
+        graphs = dict(graph_corpus())
+        assert {"C4", "C5"} <= graphs.keys()
+        for k, edges in enumerate(_benchmark_trees()):
+            names = [f"v{i}" for i in range(1 + len(edges))]
+            graphs[f"tree{k}"] = Graph.build(
+                names, [(names[a], names[b]) for a, b in edges]
+            )
+        assert len(graphs) >= len(graph_corpus()) + 30
+        for name, g in graphs.items():
+            for rmin in range(1, g.n + 1):
+                for rmax in range(rmin, g.n + 1):
+                    assert enumerate_induced_stars(
+                        g, rmin, rmax
+                    ) == reference_induced_stars(g, rmin, rmax), (name, rmin, rmax)
+
+    def test_edge_listed_once(self):
+        # K_{1,1} has two centres.
+        assert enumerate_induced_stars(path_graph(2), 1, 1) == [
+            frozenset({"x1", "x2"})
+        ]
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):

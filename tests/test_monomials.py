@@ -22,8 +22,15 @@ from transversals import edge_ideal, reference_dual
 
 from covertool.catalog import graph_corpus, hypergraph_corpus
 from covertool.covers import generalized_edge_ideal, partial_cover_ideal
-from covertool.graphs import star_graph
-from covertool.hypercovers import hypergraph_cover_ideal
+from covertool.graphs import (
+    Graph,
+    broom,
+    cycle_graph,
+    path_graph,
+    spider,
+    star_graph,
+)
+from covertool.hypercovers import build_gap_family, hypergraph_cover_ideal
 from covertool.monomials import (
     IrreducibleComponent,
     Monomial,
@@ -47,6 +54,8 @@ from covertool.monomials import (
     witness_search,
     zero_ideal,
 )
+from covertool.monomials import _classes as classes_of_gens
+from covertool.monomials import _decompose
 
 X4 = ("x1", "x2", "x3", "x4")
 ZX3 = ("z", "x1", "x2", "x3")
@@ -232,6 +241,33 @@ def _boundary_ideals():
     yield [(big, 0, 2), (1, big, 0), (2, 1, 1), (0, 2, 7), (5, 0, 0)]
 
 
+def _close(vectors, blocks):
+    """Every image of the vectors under permutations within the blocks."""
+    closed = set()
+    for e in vectors:
+        images = [itertools.permutations(block) for block in blocks]
+        for arrangement in itertools.product(*images):
+            v = list(e)
+            for block, image in zip(blocks, arrangement):
+                for i, j in zip(block, image):
+                    v[j] = e[i]
+            closed.add(tuple(v))
+    return sorted(closed)
+
+
+def _symmetric_boundary_ideals():
+    """Ideals fixed by permuting the first three of four variables, with
+    exponents at 2^k - 1 and 2^k: the canonical vectors and the
+    decomposition's `top` then sit on either side of a field width."""
+    for k in range(1, 7):
+        for v in (2**k - 1, 2**k):
+            yield _close(
+                [(v, 0, 0, 1), (v - 1, 1, 0, 0), (1, 1, 1, v - 1), (0, 0, 0, v)],
+                [(0, 1, 2)],
+            )
+            yield _close([(v, v - 1, 0, 0), (v, 1, 1, 1), (0, 0, 0, v)], [(0, 1, 2)])
+
+
 class TestFieldWidthBoundaries:
     def test_minimalize_product_power(self):
         for vectors in _boundary_ideals():
@@ -256,6 +292,106 @@ class TestFieldWidthBoundaries:
                 assert irreducible_decomposition(power) == reference_decomposition(
                     power
                 ), vectors
+
+    def test_symmetric_ideals(self):
+        ambient = ("a", "b", "c", "d")
+        for vectors in _symmetric_boundary_ideals():
+            I = minimalize(ambient, [Monomial(e) for e in vectors])
+            assert I == reference_minimalize(ambient, vectors), vectors
+            found = classes_of_gens([g.exps for g in I.gens], 4)
+            assert any({0, 1, 2} <= set(c) for c in found), vectors
+            assert ideal_power(I, 3) == reference_power(I, 3), vectors
+            for power in (I, ideal_power(I, 2)):
+                expected = reference_decomposition(power)
+                assert irreducible_decomposition(power) == expected, vectors
+                assert _orbits_agree(power, expected), vectors
+
+
+def _classes(I):
+    return classes_of_gens([g.exps for g in I.gens], I.nvars)
+
+
+def _orbits_agree(I, components):
+    """Whether the component vectors of I computed on orbit
+    representatives, which irreducible_decomposition skips for ideals
+    with few generators, are exactly the given components."""
+    gens = tuple(g.exps for g in I.gens)
+    top = 1 + max(map(max, gens))
+    found = _decompose(gens, I.nvars, top, classes_of_gens(gens, I.nvars))
+    expected = [
+        tuple(dict(c.bounds).get(i, top) for i in range(I.nvars)) for c in components
+    ]
+    return sorted(found) == sorted(expected)
+
+
+class TestInterchangeableVariables:
+    def test_star_leaves_form_one_class(self):
+        for n in range(2, 7):
+            for t in range(1, n):
+                J = partial_cover_ideal(star_graph(n), t)
+                leaves = tuple(range(1, n + 1))
+                assert _classes(J) == (leaves,), (n, t)
+                assert _classes(ideal_power(J, 2)) == (leaves,), (n, t)
+            # J_n is generated by all the variables, so z joins the leaves.
+            J = partial_cover_ideal(star_graph(n), n)
+            assert _classes(J) == (tuple(range(n + 1)),)
+
+    def test_sibling_leaves_form_one_class(self):
+        g = broom(3, 3)  # x1 - x2 - x3 with leaves b1, b2, b3 at x3
+        bristles = tuple(g.index(f"b{j}") for j in (1, 2, 3))
+        for t in (1, 2):
+            assert _classes(partial_cover_ideal(g, t)) == (bristles,), t
+        g = spider(1, 1, 2)  # legs a1_1 and a2_1 are sibling leaves at c
+        legs = (g.index("a1_1"), g.index("a2_1"))
+        for t in (1, 2):
+            assert _classes(partial_cover_ideal(g, t)) == (legs,), t
+
+    def test_gap_family_variables_form_one_class(self):
+        for m in (1, 2, 3):
+            I = hypergraph_cover_ideal(build_gap_family(m))
+            assert _classes(I) == (tuple(range(1, m + 3)),), m
+
+    def test_equal_profiles_without_a_swap_stay_apart(self):
+        # In J_1(P4) = <x2*x3, x1*x3, x2*x4> the ends x1, x4 (and the
+        # middles x2, x3) have the same exponents, but swapping only the
+        # ends maps x1*x3 to x3*x4, which is not a generator.
+        I = partial_cover_ideal(path_graph(4), 1)
+        assert I == ideal(X4, "x2*x3", "x1*x3", "x2*x4")
+        assert _classes(I) == ()
+
+    def test_trivial_classes(self):
+        assert _classes(partial_cover_ideal(path_graph(4), 1)) == ()
+        for t in (1, 2):
+            C5 = partial_cover_ideal(cycle_graph(5), t)
+            assert _classes(C5) == (), t
+            assert _classes(ideal_power(C5, 2)) == (), t
+
+    def test_moved_centre_gives_reindexed_components(self):
+        # The benchmark moves the centre of K_{1,6} to other slots; the
+        # classes move with it and the components are the same up to the
+        # renaming of the variables.  Each power has at least 64
+        # generators, so it is decomposed on orbit representatives.
+        base = star_graph(6)
+        for t, s in ((2, 3), (4, 2), (5, 3)):
+            expected = irreducible_decomposition(
+                ideal_power(partial_cover_ideal(base, t), s)
+            )
+            for slot in range(base.n):
+                order = list(base.vertices[1:])
+                order.insert(slot, "z")
+                g = Graph(tuple(order), base.edges)
+                J = partial_cover_ideal(g, t)
+                leaves = tuple(i for i in range(g.n) if i != slot)
+                assert _classes(J) == (leaves,), (t, slot)
+                power = ideal_power(J, s)
+                assert len(power.gens) >= 64, (t, s)
+                position = [base.index(v) for v in g.vertices]
+                renamed = [
+                    tuple(sorted((position[i], e) for i, e in c.bounds))
+                    for c in irreducible_decomposition(power)
+                ]
+                renamed.sort(key=lambda c: (len(c), c))
+                assert renamed == [c.bounds for c in expected], (t, s, slot)
 
 
 class TestDecomposition:
@@ -316,6 +452,7 @@ class TestDecomposition:
                 power = ideal_power(base, s)
                 expected = reference_decomposition(power)
                 assert irreducible_decomposition(power) == expected, (key, s)
+                assert _orbits_agree(power, expected), (key, s)
 
     def test_rejects_unit_and_zero(self):
         with pytest.raises(ValueError):
@@ -441,6 +578,43 @@ def ideals_strategy(draw, nvars=NVARS, allow_trivial=False):
             ambient, [Monomial(tuple(e + 1 for e in g)) for g in gens[:1]]
         )
     return result
+
+
+@st.composite
+def symmetric_ideals_strategy(draw, nvars=NVARS):
+    """A random ideal closed under a random partition of the variables
+    into blocks, so that permuting within each block fixes it."""
+    order = draw(st.permutations(range(nvars)))
+    cuts = sorted(draw(st.sets(st.integers(1, nvars - 1))))
+    blocks = [
+        tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, nvars])
+    ]
+    small = st.tuples(*([st.integers(0, 2)] * nvars))
+    gens = draw(st.lists(small, min_size=1, max_size=4))
+    ambient = tuple(f"x{i}" for i in range(1, nvars + 1))
+    result = minimalize(ambient, [Monomial(e) for e in _close(gens, blocks)])
+    if result.is_unit:
+        shifted = [tuple(e + 1 for e in g) for g in gens]
+        result = minimalize(ambient, [Monomial(e) for e in _close(shifted, blocks)])
+    return result, blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_ideals_strategy())
+def test_symmetric_power_and_decomposition(case):
+    # The splitting reference is slow on cubes, so those are only
+    # multiplied.
+    I, blocks = case
+    found = _classes(I)
+    for block in blocks:
+        assert len(block) == 1 or any(set(block) <= set(c) for c in found)
+    for s in (1, 2, 3):
+        power = ideal_power(I, s)
+        assert power == reference_power(I, s), s
+        if s < 3:
+            expected = reference_decomposition(power)
+            assert irreducible_decomposition(power) == expected, s
+            assert _orbits_agree(power, expected), s
 
 
 @given(ideals_strategy(), exponents(), exponents())
