@@ -8,7 +8,7 @@ outputs deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class ParseError(ValueError):
@@ -27,6 +27,10 @@ class Graph:
 
     vertices: tuple[str, ...]
     edges: frozenset[frozenset[str]]
+    # Each vertex's neighbours in vertex order, built once from the edges.
+    _adjacency: dict[str, tuple[str, ...]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         seen = set()
@@ -34,12 +38,20 @@ class Graph:
             if v in seen:
                 raise ValueError(f"duplicate vertex label {v!r}")
             seen.add(v)
+        adjacency = {v: set() for v in self.vertices}
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {sorted(e)} must join two distinct vertices")
             for v in e:
                 if v not in seen:
                     raise ValueError(f"edge endpoint {v!r} is not a listed vertex")
+            u, v = e
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        object.__setattr__(self, "_adjacency", {
+            v: tuple(u for u in self.vertices if u in nbrs)
+            for v, nbrs in adjacency.items()
+        })
 
     @classmethod
     def build(cls, vertices, edges) -> Graph:
@@ -58,8 +70,10 @@ class Graph:
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         """Neighbours of v, in vertex order."""
-        self.index(v)
-        return tuple(u for u in self.vertices if frozenset((u, v)) in self.edges)
+        try:
+            return self._adjacency[v]
+        except KeyError:
+            raise ValueError(f"unknown vertex label {v!r}") from None
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -130,6 +130,10 @@ class MonomialIdeal:
 
     ambient: tuple[str, ...]
     gens: tuple[Monomial, ...]
+    # On a power built by `ideal_power`: the classes of interchangeable
+    # variables of its base and the canonical generators, one per orbit
+    # (see `_classes`).  They are not part of the ideal's value.
+    _reps: tuple | None = field(default=None, compare=False, hash=False, repr=False)
 
     @property
     def nvars(self) -> int:
@@ -276,25 +280,44 @@ def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
     A proper divisor has strictly smaller degree and distinct vectors of
     equal degree never divide each other, so each candidate is compared
     only with the kept vectors of smaller degree.
+
+    Those sit in one int, `pool`, one slot per vector: its packed fields
+    and, above them, a slot-guard bit, the slot rounded up to whole
+    bytes so that a finished degree level is appended with one join.
+    With `rep` a 1 in the lowest bit of every slot, (p | H) * rep holds
+    p | H in every slot; subtracting the pool borrows within no field,
+    so the field guards that survive, flipped, mark the fields where the
+    slot's vector exceeds e, and a zero slot is a divisor.  Subtracting
+    that from the slot guards keeps a slot's guard exactly when the slot
+    is zero.
     """
     vecs = sorted(set(exps_list), key=_canon_key)
     if not vecs:
         return ()
     largest = max(itertools.chain.from_iterable(vecs), default=0)
-    width, H = _layout(largest, len(vecs[0]))
+    nvars = len(vecs[0])
+    width, H = _layout(largest, nvars)
+    size = nvars * width // 8 + 1  # bytes per slot, slot guard included
+    slot_guard = 1 << (8 * size - 1)
     kept: list[tuple[int, ...]] = []
-    below: list[int] = []  # packed kept vectors of smaller degree
+    pool = rep = guards = slot_guards = 0
+    slots = 0
     level: list[int] = []  # packed kept vectors of the current degree
     degree = None
     for e in vecs:
         d = sum(e)
         if d != degree:
-            below += level
-            level = []
+            if level:
+                chunk = b"".join(p.to_bytes(size, "little") for p in level)
+                pool |= int.from_bytes(chunk, "little") << (8 * size * slots)
+                slots += len(level)
+                rep = int.from_bytes((b"\1" + bytes(size - 1)) * slots, "little")
+                guards, slot_guards = H * rep, slot_guard * rep
+                level = []
             degree = d
         p = _pack(e, width)
-        # Whether some k in below divides e, with the loop run in C.
-        if H not in map(H.__and__, map((p | H).__sub__, below)):
+        above = ((p | H) * rep - pool) & guards ^ guards
+        if not (slot_guards - above) & slot_guards:
             kept.append(e)
             level.append(p)
     return tuple(kept)
@@ -335,6 +358,18 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.ambient, tuple(Monomial(e) for e in _minimalize_exps(prods)))
 
 
+def _held_reps(I: MonomialIdeal):
+    """The classes of I and its canonical generators, one per orbit:
+    those a power holds, or else found from the generators."""
+    if I._reps is not None:
+        return I._reps
+    gens = [g.exps for g in I.gens]
+    classes = _classes(gens, I.nvars)
+    if classes:
+        gens = [g for g in gens if _canonical(g, classes) == g]
+    return classes, gens
+
+
 @lru_cache(maxsize=None)
 def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
     """I^s, minimalizing after each multiplication to control blowup.
@@ -342,6 +377,8 @@ def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
     Each step multiplies the canonical generators of I^(s-1), one per
     orbit of I's interchangeable variables, by every generator of I,
     minimalizes the canonical products and expands them to their orbits.
+    The power holds its canonical generators and the classes, which the
+    next step and the decomposition start from.
     """
     if s < 0:
         raise ValueError("negative power")
@@ -349,23 +386,23 @@ def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
         return unit_ideal(I.ambient)
     if s == 1:
         return I
-    previous = ideal_power(I, s - 1)
+    # I^(s-1) is I itself at s = 2; a power of a power holds the classes
+    # of the first base, which fix every power of it.
+    classes, reps = _held_reps(ideal_power(I, s - 1))
     gens = [g.exps for g in I.gens]
-    classes = _classes(gens, I.nvars)
     # A product of a canonical r with h can be out of order only in the
     # classes that meet the support of h.
     factors = [(h, [c for c in classes if any(h[i] for i in c)]) for h in gens]
     prods = {
         _canonical(map(operator.add, r, h), touched)
-        for r in (g.exps for g in previous.gens)
-        if _canonical(r, classes) == r
+        for r in reps
         for h, touched in factors
     }
     reps = _minimalize_exps(prods)
     orbits = _orbits(reps, classes)
     if len(orbits) > len(reps):  # the expansion broke the canonical order
         orbits = sorted(orbits, key=_canon_key)
-    return MonomialIdeal(I.ambient, tuple(Monomial(e) for e in orbits))
+    return MonomialIdeal(I.ambient, tuple(Monomial(e) for e in orbits), (classes, reps))
 
 
 def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -382,13 +419,17 @@ def colon(I: MonomialIdeal, t: Monomial) -> MonomialIdeal:
     """The quotient I : <t>, computed generator by generator."""
     if len(t.exps) != I.nvars:
         raise ValueError("colon monomial lives in the wrong number of variables")
-    return minimalize(I.ambient, [g.colon(t) for g in I.gens])
+    t = t.exps
+    quotients = {tuple(map(operator.sub, map(max, g.exps, t), t)) for g in I.gens}
+    minimal = _minimalize_exps(quotients)
+    return MonomialIdeal(I.ambient, tuple(Monomial(e) for e in minimal))
 
 
 def contains(I: MonomialIdeal, m: Monomial) -> bool:
     if len(m.exps) != I.nvars:
         raise ValueError("membership test in the wrong number of variables")
-    return any(g.divides(m) for g in I.gens)
+    m = m.exps
+    return any(all(map(operator.le, g.exps, m)) for g in I.gens)
 
 
 def ideal_contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
@@ -414,7 +455,7 @@ class _SortedFields(dict):
         return ordered
 
 
-_ORBIT_MIN_GENS = 64  # see irreducible_decomposition
+_ORBIT_MIN_GENS = 64  # see _decompose
 
 
 # Inside the decomposition, an irreducible component <x_i^{e_i}> is a
@@ -423,20 +464,20 @@ _ORBIT_MIN_GENS = 64  # see irreducible_decomposition
 # contains D exactly when the vector of C lies pointwise below the
 # vector of D, so C is then redundant in the intersection.
 
-def _decompose(gens, nvars, top, classes):
+def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
     """Irredundant component vectors, adding generators one at a time.
 
     A component that already contains the next generator g is kept; any
     other component is replaced by its tightenings at the variables of
     g.  Only the pointwise-maximal vectors survive each step.
 
-    The generators are added one G-orbit at a time (see `_classes`), so
-    the ideal is G-invariant between orbits and its components are held
-    as one canonical vector per orbit.  For every member of the next
-    orbit the step runs over all held vectors jointly.  When the orbit
-    meets a class, the vectors it made are then canonicalized and the
-    redundant ones dropped; the drops between members only thin them
-    out.  The result is expanded to whole orbits at the end.
+    The generators are added one G-orbit at a time (see `_classes`), each
+    orbit expanded from its canonical generator in reps, so the ideal is
+    G-invariant between orbits and its components are held as one
+    canonical vector per orbit.  For every member of the next orbit the
+    step runs over all held vectors jointly.  When the orbit meets a
+    class, the vectors it made are then canonicalized and the redundant
+    ones dropped; the drops between members only thin them out.
 
     Components are packed (see `_layout`) with their guard bits set, so
     k <= c is (c - k) & H == H.  A component c misses g exactly when
@@ -464,22 +505,17 @@ def _decompose(gens, nvars, top, classes):
             if list(map(H.__and__, map((c ^ H).__rsub__, pool))).count(H) < 2
         ]
 
-    # g + 1 on the support of g determines g, so its canonical vector
-    # names the orbit of g.
-    orbits: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for g in gens:
-        above = _pack(tuple(e + 1 if e else 0 for e in g), width)
-        orbits.setdefault(canonical(above, sorters), []).append((g, above))
     comps = [_pack((top,) * nvars, width) | H]
-    for orbit in orbits.values():
+    for rep in reps:
         # Tightenings write only at the variables of the orbit, so the
         # classes it does not touch stay in canonical order.
-        touched = [s for s in sorters if any(orbit[0][0][i] for i in s.cls)]
+        touched = [s for s in sorters if any(rep[i] for i in s.cls)]
         if touched:
             held = set(comps)
-        for step, (g, above) in enumerate(orbit):
+        for step, g in enumerate(_orbits([rep], classes)):
             if step:
                 comps = kept + maximal(new, kept)
+            above = _pack(tuple(e + 1 if e else 0 for e in g), width)
             tighten = [
                 (~(low << i * width), e << i * width)
                 for i, e in enumerate(g)
@@ -501,9 +537,26 @@ def _decompose(gens, nvars, top, classes):
             new = {canonical(c, touched) for c in new}
             kept = list(filter(held.__contains__, kept))
         comps = kept + maximal(new, kept)
-    return _orbits(
-        [tuple((c >> i * width) & low for i in range(nvars)) for c in comps], classes
-    )
+    return [tuple((c >> i * width) & low for i in range(nvars)) for c in comps]
+
+
+def _decompose(I: MonomialIdeal):
+    """The classes of I, `top` and the canonical component vectors, one
+    per orbit: the one decomposition behind irreducible_decomposition
+    and associated_primes.
+
+    A power starts from the classes and canonical generators it holds.
+    Finding the classes and holding orbits has a fixed cost per call
+    that only larger ideals repay: on tree cells it took up to twice the
+    time below 8 generators and broke even between 32 and 64, so smaller
+    ideals are decomposed generator by generator.
+    """
+    if len(I.gens) < _ORBIT_MIN_GENS:
+        classes, reps = (), [g.exps for g in I.gens]
+    else:
+        classes, reps = _held_reps(I)
+    top = 1 + max(map(max, reps))
+    return classes, top, _components(reps, I.nvars, top, classes)
 
 
 @lru_cache(maxsize=None)
@@ -513,24 +566,30 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
         raise ValueError("the zero ideal has no irreducible decomposition here")
     if I.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
-    gens = tuple(g.exps for g in I.gens)
-    top = 1 + max(map(max, gens))
-    # Finding the classes and holding orbits has a fixed cost per call
-    # that only larger ideals repay: on tree cells it took up to twice
-    # the time below 8 generators and broke even between 32 and 64.
-    classes = _classes(gens, I.nvars) if len(gens) >= _ORBIT_MIN_GENS else ()
-    vecs = _decompose(gens, I.nvars, top, classes)
-    comps = [tuple((i, e) for i, e in enumerate(v) if e != top) for v in vecs]
+    classes, top, vecs = _decompose(I)
+    comps = [
+        tuple((i, e) for i, e in enumerate(v) if e != top)
+        for v in _orbits(vecs, classes)
+    ]
     ordered = sorted(comps, key=lambda c: (len(c), c))
     return tuple(IrreducibleComponent(c) for c in ordered)
 
 
 def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """Ass(I): the supports of the irredundant irreducible components."""
+    """Ass(I): the supports of the irredundant irreducible components.
+
+    Only the supports of the canonical components are expanded.  Within
+    a class a canonical vector lists its absent variables, marked `top`,
+    first, so supports in one orbit are equal there and each orbit of
+    supports is expanded once.
+    """
     if I.is_zero or I.is_unit:
         raise ValueError("associated primes are computed for proper nonzero ideals")
+    classes, top, vecs = _decompose(I)
+    supports = {tuple(int(e != top) for e in v) for v in vecs}
     return frozenset(
-        MonomialPrime(c.support) for c in irreducible_decomposition(I)
+        MonomialPrime(frozenset(i for i, x in enumerate(s) if x))
+        for s in _orbits(list(supports), classes)
     )
 
 

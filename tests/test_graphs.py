@@ -51,11 +51,18 @@ class TestGraphConstruction:
         assert g.neighbors("b") == ("c", "a")
         assert g.degree("b") == 2
         assert g.max_degree() == 2
+        # The adjacency is built from the edges and is not part of the
+        # graph's value.
+        same = Graph.build(("c", "a", "b"), [("c", "b"), ("b", "a")])
+        assert same == g and hash(same) == hash(g)
+        assert "_adjacency" not in repr(g)
 
     def test_unknown_vertex_lookup(self):
         g = path_graph(3)
         with pytest.raises(ValueError, match="unknown vertex"):
             g.index("nope")
+        with pytest.raises(ValueError, match="unknown vertex"):
+            g.neighbors("nope")
 
     def test_induced_subgraph(self):
         g = path_graph(4)

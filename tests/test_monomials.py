@@ -6,6 +6,7 @@ so they are independent of the code under test.
 """
 
 import itertools
+import random
 
 import pytest
 from decompositions import reference_decomposition
@@ -20,6 +21,7 @@ from minimalizers import (
 )
 from transversals import edge_ideal, reference_dual
 
+from covertool.associated import astab_tree
 from covertool.catalog import graph_corpus, hypergraph_corpus
 from covertool.covers import generalized_edge_ideal, partial_cover_ideal
 from covertool.graphs import (
@@ -55,7 +57,7 @@ from covertool.monomials import (
     zero_ideal,
 )
 from covertool.monomials import _classes as classes_of_gens
-from covertool.monomials import _decompose
+from covertool.monomials import _components
 
 X4 = ("x1", "x2", "x3", "x4")
 ZX3 = ("z", "x1", "x2", "x3")
@@ -268,7 +270,37 @@ def _symmetric_boundary_ideals():
             yield _close([(v, v - 1, 0, 0), (v, 1, 1, 1), (0, 0, 0, v)], [(0, 1, 2)])
 
 
+def _slot_boundary_vectors():
+    """Vector sets for the minimalizer's slots of kept vectors.  With 1-4
+    variables and exponents at 2^k - 1 and 2^k the fields fill a slot to
+    every bit count modulo 8, so the slot guard sits just above the
+    fields or several bits above them; the exponents go up to 2^70."""
+    values = [2**k - 1 for k in range(1, 10)] + [2**k for k in range(1, 10)]
+    for nvars in range(1, 5):
+        for v in [*values, 2**70 - 1, 2**70]:
+            units = [
+                tuple(v if j == i else 0 for j in range(nvars)) for i in range(nvars)
+            ]
+            # One degree level: every vector meets an empty pool.
+            yield units
+            # One kept vector, with a multiple and a near miss above it.
+            u = units[-1]
+            yield [u, tuple(x + 1 for x in u), (1,) * (nvars - 1) + (v - 1,)]
+            # Kept vectors that exceed a candidate in several fields, the
+            # last one included, next to slots that divide it.
+            rng = random.Random(f"{nvars} {v}")
+            entries = (0, 1, v - 1, v)
+            yield [tuple(rng.choice(entries) for _ in range(nvars)) for _ in range(40)]
+
+
 class TestFieldWidthBoundaries:
+    def test_minimalizer_slots(self):
+        for vectors in _slot_boundary_vectors():
+            ambient = tuple(f"x{i}" for i in range(len(vectors[0])))
+            assert minimalize(
+                ambient, [Monomial(e) for e in vectors]
+            ) == reference_minimalize(ambient, vectors), vectors
+
     def test_minimalize_product_power(self):
         for vectors in _boundary_ideals():
             ambient = ("a", "b", "c")
@@ -311,17 +343,33 @@ def _classes(I):
     return classes_of_gens([g.exps for g in I.gens], I.nvars)
 
 
+def _canonical_filter(vectors, classes):
+    """The vectors whose entries decrease within every class, in order."""
+    return tuple(
+        e
+        for e in vectors
+        if all(
+            [e[i] for i in cls] == sorted((e[i] for i in cls), reverse=True)
+            for cls in classes
+        )
+    )
+
+
 def _orbits_agree(I, components):
     """Whether the component vectors of I computed on orbit
-    representatives, which irreducible_decomposition skips for ideals
-    with few generators, are exactly the given components."""
-    gens = tuple(g.exps for g in I.gens)
+    representatives, which the decomposition skips for ideals with few
+    generators, are one canonical vector per orbit and expand to exactly
+    the given components."""
+    gens = [g.exps for g in I.gens]
+    classes = classes_of_gens(gens, I.nvars)
     top = 1 + max(map(max, gens))
-    found = _decompose(gens, I.nvars, top, classes_of_gens(gens, I.nvars))
+    found = _components(_canonical_filter(gens, classes), I.nvars, top, classes)
     expected = [
         tuple(dict(c.bounds).get(i, top) for i in range(I.nvars)) for c in components
     ]
-    return sorted(found) == sorted(expected)
+    canonical = list(_canonical_filter(found, classes)) == found
+    distinct = len(set(found)) == len(found)
+    return canonical and distinct and _close(found, classes) == sorted(expected)
 
 
 class TestInterchangeableVariables:
@@ -392,6 +440,50 @@ class TestInterchangeableVariables:
                 ]
                 renamed.sort(key=lambda c: (len(c), c))
                 assert renamed == [c.bounds for c in expected], (t, s, slot)
+
+
+def _corpus_powers():
+    """Every J_t^s of the graph corpus up to the stability index plus one
+    (s <= 3 off trees), with its base."""
+    for name, g in graph_corpus():
+        for t in range(1, g.max_degree() + 1):
+            J = partial_cover_ideal(g, t)
+            s_max = astab_tree(g, t) + 1 if g.is_tree() else 3
+            for s in range(1, s_max + 1):
+                yield (name, t, s), J, ideal_power(J, s)
+
+
+def _held_reps_agree(J, power):
+    """Whether a power holds the classes of its base and, under them, the
+    canonical filter of its expanded generators."""
+    gens = [g.exps for g in J.gens]
+    classes = classes_of_gens(gens, J.nvars)
+    held = (classes, _canonical_filter([g.exps for g in power.gens], classes))
+    return power._reps == held
+
+
+class TestHeldRepresentatives:
+    def test_corpus_powers_hold_canonical_generators(self):
+        for key, J, power in _corpus_powers():
+            if key[2] >= 2:
+                assert _held_reps_agree(J, power), key
+
+    def test_primes_are_component_supports(self):
+        cells = [(key, power) for key, _, power in _corpus_powers()]
+        for n, t, s in ((7, 2, 7), (8, 3, 4)):
+            J = partial_cover_ideal(star_graph(n), t)
+            cells.append(((f"K1_{n}", t, s), ideal_power(J, s)))
+        for key, power in cells:
+            supports = {c.support for c in irreducible_decomposition(power)}
+            assert {p.support for p in associated_primes(power)} == supports, key
+
+    def test_held_reps_leave_value_and_hash(self):
+        J = partial_cover_ideal(star_graph(5), 2)
+        power = ideal_power(J, 3)
+        plain = minimalize(power.ambient, power.gens)
+        assert power._reps is not None and plain._reps is None
+        assert power == plain and hash(power) == hash(plain)
+        assert repr(power) == repr(plain)
 
 
 class TestDecomposition:
@@ -611,6 +703,8 @@ def test_symmetric_power_and_decomposition(case):
     for s in (1, 2, 3):
         power = ideal_power(I, s)
         assert power == reference_power(I, s), s
+        if s >= 2:
+            assert _held_reps_agree(I, power), s
         if s < 3:
             expected = reference_decomposition(power)
             assert irreducible_decomposition(power) == expected, s

@@ -5,9 +5,11 @@ moved function would silently drop out of the traced metrics, so this
 runs two traced CLI commands and checks the spans they must record.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
+import covertool
 from covertool import cli, covers, monomials
 
 P4 = "vertices: x1 x2 x3 x4\nedge: x1 x2\nedge: x2 x3\nedge: x3 x4\n"
@@ -37,3 +39,39 @@ def test_tracer_records_cover_and_dual_spans(tmp_path, capsys):
     assert {"cli.main", "covers.cover_ideal", "monomials.dual"} <= names
     assert tracer.counts["covers.cover_gens"] > 0
     assert (cli.main, covers.partial_cover_ideal, monomials.alexander_dual) == originals
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def _cached_functions():
+    """Every covertool function wrapped by functools.lru_cache or cache,
+    found in the source so that nested and late-bound wrappers count,
+    plus the line of any other use of those names."""
+    found = set()
+    for path in sorted(Path(covertool.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = getattr(decorator, "func", decorator)
+                    if getattr(target, "id", getattr(target, "attr", None)) in CACHES:
+                        found.add(f"{path.stem}.{node.name}")
+                        decorators.add(target)
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in CACHES:
+                if node not in decorators:
+                    found.add(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_the_caches_the_benchmark_clears():
+    # perfbench/run.py clears exactly these two caches before each
+    # command; any other cache would carry work from one command into
+    # the next and make the benchmark read warm.
+    cleared = {"monomials.ideal_power", "monomials.irreducible_decomposition"}
+    assert _cached_functions() == cleared
+    for name in cleared:
+        assert callable(getattr(monomials, name.split(".")[1]).cache_clear)
