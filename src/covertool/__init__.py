@@ -59,7 +59,6 @@ from .hypercovers import (
 )
 from .monomials import (
     IrreducibleComponent,
-    Monomial,
     MonomialIdeal,
     MonomialPrime,
     alexander_dual,
@@ -73,6 +72,9 @@ from .monomials import (
     minimalize,
     monomial_from_str,
     monomial_str,
+    prime_str,
+    sorted_primes,
+    support_vector,
     witness_search,
 )
 

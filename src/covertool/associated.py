@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .covers import partial_cover_ideal, star_generators
 from .graphs import Graph, enumerate_induced_stars
 from .monomials import (
-    Monomial,
     MonomialIdeal,
     MonomialPrime,
     associated_primes,
@@ -72,7 +71,7 @@ class WitnessCertificate:
     all (n = t) and T is a pure power of z, possibly 1.
     """
 
-    T: Monomial
+    T: tuple[int, ...]
     s: int
     P: MonomialPrime
     not_in_power: bool
@@ -276,7 +275,7 @@ def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:
     exps[0] = e
     for k in range(length):
         exps[1 + k % n] += 1
-    T = Monomial(tuple(exps))
+    T = tuple(exps)
     J = star_generators(n, t)
     Js = ideal_power(J, s)
     P = MonomialPrime(frozenset(range(nv)))
@@ -296,7 +295,9 @@ def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:
     )
 
 
-def verify_annihilator_divisibility(n: int, t: int, s: int, T: Monomial) -> bool:
+def verify_annihilator_divisibility(
+    n: int, t: int, s: int, T: tuple[int, ...]
+) -> bool:
     """For a checked maximal-ideal witness T of J_t(K_{1,n})^s, whether
     T divides z^e (x1...xn)^(s-e-1) with e the z-exponent of T.
 
@@ -310,7 +311,7 @@ def verify_annihilator_divisibility(n: int, t: int, s: int, T: Monomial) -> bool
     if t > n:
         raise ValueError(f"t={t} exceeds the number of leaves n={n}")
     J = star_generators(n, t)
-    if len(T.exps) != n + 1:
+    if len(T) != n + 1:
         raise ValueError("witness lives in the wrong number of variables")
     Js = ideal_power(J, s)
     P = MonomialPrime(frozenset(range(n + 1)))
@@ -323,40 +324,47 @@ def verify_annihilator_divisibility(n: int, t: int, s: int, T: Monomial) -> bool
             f"colon of the power by {monomial_str(T, J.ambient)} is not the "
             "maximal ideal; not a witness"
         )
-    e = T.exps[0]
+    e = T[0]
     # T not in J^s rules out z^s | T, so s - e - 1 >= 0.
-    bound = Monomial(tuple([e] + [s - e - 1] * n))
-    return T.divides(bound)
+    bound = (e,) + (s - e - 1,) * n
+    return all(a <= b for a, b in zip(T, bound))
 
 
-def localization_check(g: Graph, t: int, s: int, subset) -> bool:
+def _check_report_ambient(report: AssReport, g: Graph):
+    if tuple(g.vertices) != tuple(report.ambient):
+        raise ValueError("report ambient does not match the graph's vertices")
+
+
+def localization_check(report: AssReport, g: Graph, subset) -> bool:
     """Compare global and localized membership for one vertex subset.
 
-    Returns whether [prime(subset) associated to J_t(g)^s] agrees with
-    [maximal ideal of the induced subgraph associated on its own ring].
-    The equivalence is a theorem, so this should always be true; it
-    returns the comparison rather than asserting, for use in tests.
+    Returns whether [prime(subset) in the oracle report of Ass(J_t(g)^s)]
+    agrees with [maximal ideal of the induced subgraph associated on its
+    own ring].  The equivalence is a theorem, so this should always be
+    true; it returns the comparison rather than asserting, for use in
+    tests.  The report must come from the oracle (`ass_of_power` in
+    direct mode): localized mode is what it is compared against.
     """
-    _check_positive("t", t)
-    _check_positive("s", s)
+    _check_report_ambient(report, g)
+    if report.method != "oracle":
+        raise ValueError(
+            f"localization is checked against the oracle, not {report.method!r}"
+        )
     members = tuple(subset)
     unknown = set(members) - set(g.vertices)
     if unknown:
         raise ValueError(f"subset contains unknown vertices: {sorted(unknown)}")
-    ideal = cover_ideal_checked(g, t)
     if not members:
         return True  # no prime on one side, unit ideal on the other
     prime = MonomialPrime(frozenset(g.index(v) for v in members))
-    global_side = prime in associated_primes(ideal_power(ideal, s))
-    local_side = _full_prime_associated(g.induced(members), t, s)
-    return global_side == local_side
+    local_side = _full_prime_associated(g.induced(members), report.t, report.s)
+    return (prime in report.primes) == local_side
 
 
 def connectivity_check(report: AssReport, g: Graph) -> bool:
     """Whether every reported prime's support induces a connected
     subgraph; true for genuine associated primes."""
-    if tuple(g.vertices) != tuple(report.ambient):
-        raise ValueError("report ambient does not match the graph's vertices")
+    _check_report_ambient(report, g)
     for prime in report.primes:
         vertices = [g.vertices[i] for i in prime.indices]
         if not g.induced(vertices).is_connected():

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 from .graphs import Graph, find_special_vertex
 from .monomials import (
-    Monomial,
     MonomialIdeal,
     alexander_dual,
     minimalize,
     monomial_str,
+    support_vector,
 )
 
 
@@ -72,7 +72,7 @@ def _star_products(g: Graph, t: int) -> MonomialIdeal:
     return minimalize(
         g.vertices,
         [
-            Monomial.from_support([g.index(v) for v in (x, *subset)], g.n)
+            support_vector([g.index(v) for v in (x, *subset)], g.n)
             for x in g.vertices
             for subset in itertools.combinations(g.neighbors(x), t)
         ],
@@ -102,9 +102,9 @@ def star_generators(n: int, t: int) -> MonomialIdeal:
         raise ValueError(f"t={t} exceeds the number of leaves n={n}")
     ambient = ("z",) + tuple(f"x{i}" for i in range(1, n + 1))
     nv = n + 1
-    gens = [Monomial.variable(0, nv)]
+    gens = [support_vector((0,), nv)]
     for combo in itertools.combinations(range(1, nv), n - t + 1):
-        gens.append(Monomial.from_support(combo, nv))
+        gens.append(support_vector(combo, nv))
     return minimalize(ambient, gens)
 
 
@@ -131,7 +131,7 @@ class GeneratorClassification:
     frame_divisors records which frame variables divide the generator.
     """
 
-    generator: Monomial
+    generator: tuple[int, ...]
     kind: str
     frame_divisors: tuple[str, ...]
 
@@ -170,8 +170,8 @@ def classify_tree_generators(g: Graph, t: int) -> TreeGeneratorReport:
     ideal = partial_cover_ideal(g, t)
     entries = []
     for m in ideal.gens:
-        div_x = m.exps[g.index(x)] > 0
-        div_ys = [y for y in ys if m.exps[g.index(y)] > 0]
+        div_x = m[g.index(x)] > 0
+        div_ys = [y for y in ys if m[g.index(y)] > 0]
         if not div_x and len(div_ys) == d - t + 1:
             kind = "i"
         elif div_x and not div_ys:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .associated import astab_tree, empirical_astab
 from .covers import star_generators
 from .graphs import Hypergraph, star_graph
-from .monomials import Monomial, MonomialIdeal, alexander_dual, minimalize
+from .monomials import MonomialIdeal, alexander_dual, minimalize, support_vector
 
 Coloring = dict[str, int]
 
@@ -23,7 +23,7 @@ Coloring = dict[str, int]
 def hypergraph_cover_ideal(h: Hypergraph) -> MonomialIdeal:
     """The ideal of minimal vertex covers (transversals) of h: the
     Alexander dual of its edge ideal."""
-    edges = [Monomial.from_support([h.index(v) for v in e], h.n) for e in h.edges]
+    edges = [support_vector([h.index(v) for v in e], h.n) for e in h.edges]
     return alexander_dual(minimalize(h.vertices, edges))
 
 

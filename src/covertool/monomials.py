@@ -16,64 +16,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial as a dense exponent vector; the all-zero vector is 1."""
-
-    exps: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.exps):
-            raise ValueError(f"negative exponent in {self.exps}")
-
-    @classmethod
-    def one(cls, nvars: int) -> Monomial:
-        return cls((0,) * nvars)
-
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> Monomial:
-        return cls(tuple(1 if j == i else 0 for j in range(nvars)))
-
-    @classmethod
-    def from_map(cls, exps: dict[int, int], nvars: int) -> Monomial:
-        return cls(tuple(exps.get(j, 0) for j in range(nvars)))
-
-    @classmethod
-    def from_support(cls, indices, nvars: int) -> Monomial:
-        return cls.from_map({i: 1 for i in indices}, nvars)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    @property
-    def is_one(self) -> bool:
-        return not any(self.exps)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.exps) if e > 0)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exps)
-
-    def divides(self, other: Monomial) -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps, strict=True))
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps, strict=True)))
-
-    def lcm(self, other: Monomial) -> Monomial:
-        return Monomial(
-            tuple(max(a, b) for a, b in zip(self.exps, other.exps, strict=True))
-        )
-
-    def colon(self, other: Monomial) -> Monomial:
-        """self / gcd(self, other): the monomial quotient used by ideal colons."""
-        return Monomial(
-            tuple(max(a - b, 0) for a, b in zip(self.exps, other.exps, strict=True))
-        )
+def support_vector(indices, nvars: int) -> tuple[int, ...]:
+    """The square-free exponent vector with a 1 exactly at `indices`."""
+    members = set(indices)
+    return tuple(int(i in members) for i in range(nvars))
 
 
 @dataclass(frozen=True)
@@ -95,7 +41,7 @@ class MonomialPrime:
 
     def as_ideal(self, ambient: tuple[str, ...]) -> MonomialIdeal:
         n = len(ambient)
-        return minimalize(ambient, [Monomial.variable(i, n) for i in self.indices])
+        return minimalize(ambient, [support_vector((i,), n) for i in self.indices])
 
 
 @dataclass(frozen=True)
@@ -115,7 +61,8 @@ class IrreducibleComponent:
     def as_ideal(self, ambient: tuple[str, ...]) -> MonomialIdeal:
         n = len(ambient)
         return minimalize(
-            ambient, [Monomial.from_map({i: e}, n) for i, e in self.bounds]
+            ambient,
+            [tuple(e if j == i else 0 for j in range(n)) for i, e in self.bounds],
         )
 
 
@@ -123,13 +70,15 @@ class IrreducibleComponent:
 class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set.
 
-    Generators are sorted by (total degree, exponent vector); the unit
-    ideal is {1} and the zero ideal has no generators.  Build instances
-    through `minimalize` or the ideal operations, not directly.
+    Each generator is a tuple of exponents, one per variable of the
+    ambient in order; the all-zero tuple is 1.  Generators are sorted
+    by (total degree, exponent vector); the unit ideal is {1} and the
+    zero ideal has no generators.  Build instances through `minimalize`
+    or the ideal operations, not directly.
     """
 
     ambient: tuple[str, ...]
-    gens: tuple[Monomial, ...]
+    gens: tuple[tuple[int, ...], ...]
     # On a power built by `ideal_power`: the classes of interchangeable
     # variables of its base and the canonical generators, one per orbit
     # (see `_classes`).  They are not part of the ideal's value.
@@ -145,17 +94,16 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_one
+        return len(self.gens) == 1 and not any(self.gens[0])
 
     @property
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree for g in self.gens)
+        return all(e <= 1 for g in self.gens for e in g)
 
     def __str__(self) -> str:
         return ideal_str(self)
 
 
-# Internal helpers work on raw exponent tuples to keep hot paths light.
 # The two comparison-heavy loops, minimalization and decomposition, pack
 # each vector into one int: exponent i sits in field i, bits
 # [i*w, (i+1)*w), whose top bit is a guard bit no exponent reaches.
@@ -324,14 +272,16 @@ def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
 
 
 def minimalize(ambient, gens) -> MonomialIdeal:
-    """The ideal generated by `gens`, reduced to minimal generators."""
+    """The ideal generated by the exponent tuples `gens`, reduced to
+    minimal generators."""
     ambient = tuple(ambient)
     n = len(ambient)
     for g in gens:
-        if len(g.exps) != n:
-            raise ValueError(f"monomial {g.exps} does not live in {n} variables")
-    minimal = _minimalize_exps([g.exps for g in gens])
-    return MonomialIdeal(ambient, tuple(Monomial(e) for e in minimal))
+        if len(g) != n:
+            raise ValueError(f"monomial {g} does not live in {n} variables")
+        if any(e < 0 for e in g):
+            raise ValueError(f"negative exponent in {g}")
+    return MonomialIdeal(ambient, _minimalize_exps(gens))
 
 
 def zero_ideal(ambient) -> MonomialIdeal:
@@ -340,7 +290,7 @@ def zero_ideal(ambient) -> MonomialIdeal:
 
 def unit_ideal(ambient) -> MonomialIdeal:
     ambient = tuple(ambient)
-    return MonomialIdeal(ambient, (Monomial.one(len(ambient)),))
+    return MonomialIdeal(ambient, ((0,) * len(ambient),))
 
 
 def _check_same_ambient(I: MonomialIdeal, J: MonomialIdeal):
@@ -350,12 +300,8 @@ def _check_same_ambient(I: MonomialIdeal, J: MonomialIdeal):
 
 def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _check_same_ambient(I, J)
-    prods = {
-        tuple(a + b for a, b in zip(g.exps, h.exps))
-        for g in I.gens
-        for h in J.gens
-    }
-    return MonomialIdeal(I.ambient, tuple(Monomial(e) for e in _minimalize_exps(prods)))
+    prods = {tuple(map(operator.add, g, h)) for g in I.gens for h in J.gens}
+    return MonomialIdeal(I.ambient, _minimalize_exps(prods))
 
 
 def _held_reps(I: MonomialIdeal):
@@ -363,7 +309,7 @@ def _held_reps(I: MonomialIdeal):
     those a power holds, or else found from the generators."""
     if I._reps is not None:
         return I._reps
-    gens = [g.exps for g in I.gens]
+    gens = I.gens
     classes = _classes(gens, I.nvars)
     if classes:
         gens = [g for g in gens if _canonical(g, classes) == g]
@@ -389,10 +335,9 @@ def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
     # I^(s-1) is I itself at s = 2; a power of a power holds the classes
     # of the first base, which fix every power of it.
     classes, reps = _held_reps(ideal_power(I, s - 1))
-    gens = [g.exps for g in I.gens]
     # A product of a canonical r with h can be out of order only in the
     # classes that meet the support of h.
-    factors = [(h, [c for c in classes if any(h[i] for i in c)]) for h in gens]
+    factors = [(h, [c for c in classes if any(h[i] for i in c)]) for h in I.gens]
     prods = {
         _canonical(map(operator.add, r, h), touched)
         for r in reps
@@ -402,34 +347,27 @@ def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
     orbits = _orbits(reps, classes)
     if len(orbits) > len(reps):  # the expansion broke the canonical order
         orbits = sorted(orbits, key=_canon_key)
-    return MonomialIdeal(I.ambient, tuple(Monomial(e) for e in orbits), (classes, reps))
+    return MonomialIdeal(I.ambient, tuple(orbits), (classes, reps))
 
 
 def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     _check_same_ambient(I, J)
-    lcms = {
-        tuple(max(a, b) for a, b in zip(g.exps, h.exps))
-        for g in I.gens
-        for h in J.gens
-    }
-    return MonomialIdeal(I.ambient, tuple(Monomial(e) for e in _minimalize_exps(lcms)))
+    lcms = {tuple(map(max, g, h)) for g in I.gens for h in J.gens}
+    return MonomialIdeal(I.ambient, _minimalize_exps(lcms))
 
 
-def colon(I: MonomialIdeal, t: Monomial) -> MonomialIdeal:
+def colon(I: MonomialIdeal, t: tuple[int, ...]) -> MonomialIdeal:
     """The quotient I : <t>, computed generator by generator."""
-    if len(t.exps) != I.nvars:
+    if len(t) != I.nvars:
         raise ValueError("colon monomial lives in the wrong number of variables")
-    t = t.exps
-    quotients = {tuple(map(operator.sub, map(max, g.exps, t), t)) for g in I.gens}
-    minimal = _minimalize_exps(quotients)
-    return MonomialIdeal(I.ambient, tuple(Monomial(e) for e in minimal))
+    quotients = {tuple(map(operator.sub, map(max, g, t), t)) for g in I.gens}
+    return MonomialIdeal(I.ambient, _minimalize_exps(quotients))
 
 
-def contains(I: MonomialIdeal, m: Monomial) -> bool:
-    if len(m.exps) != I.nvars:
+def contains(I: MonomialIdeal, m: tuple[int, ...]) -> bool:
+    if len(m) != I.nvars:
         raise ValueError("membership test in the wrong number of variables")
-    m = m.exps
-    return any(all(map(operator.le, g.exps, m)) for g in I.gens)
+    return any(all(map(operator.le, g, m)) for g in I.gens)
 
 
 def ideal_contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
@@ -552,7 +490,7 @@ def _decompose(I: MonomialIdeal):
     ideals are decomposed generator by generator.
     """
     if len(I.gens) < _ORBIT_MIN_GENS:
-        classes, reps = (), [g.exps for g in I.gens]
+        classes, reps = (), I.gens
     else:
         classes, reps = _held_reps(I)
     top = 1 + max(map(max, reps))
@@ -593,7 +531,7 @@ def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
     )
 
 
-def witness_search(I: MonomialIdeal, P: MonomialPrime) -> Monomial | None:
+def witness_search(I: MonomialIdeal, P: MonomialPrime) -> tuple[int, ...] | None:
     """Exhaustive search for a monomial T with I : <T> = P.
 
     The search box bounds each exponent of T by (max exponent of that
@@ -604,21 +542,18 @@ def witness_search(I: MonomialIdeal, P: MonomialPrime) -> Monomial | None:
     """
     if I.is_zero or I.is_unit:
         raise ValueError("witness search needs a proper nonzero ideal")
-    n = I.nvars
-    count = len(I.gens)
-    bounds = [max(g.exps[i] for g in I.gens) * count for i in range(n)]
-    want = P.support
     gens = I.gens
-    for exps in itertools.product(*(range(b + 1) for b in bounds)):
-        t = Monomial(exps)
-        if any(g.divides(t) for g in gens):
+    bounds = [max(column) * len(gens) for column in zip(*gens)]
+    want = P.support
+    for t in itertools.product(*(range(b + 1) for b in bounds)):
+        if any(all(a <= b for a, b in zip(g, t)) for g in gens):
             continue  # t in I, colon is the unit ideal
-        quotients = [g.colon(t) for g in gens]
+        quotients = [tuple(max(a - b, 0) for a, b in zip(g, t)) for g in gens]
         # I : <t> equals P exactly when each variable of P appears as a
         # generator and every quotient is divisible by one of them.
-        if not all(any(q.exps[i] for i in want) for q in quotients):
+        if not all(any(q[i] for i in want) for q in quotients):
             continue
-        pure = {q.support[0] for q in quotients if q.degree == 1}
+        pure = {q.index(1) for q in quotients if sum(q) == 1}
         if pure == want:
             return t
     return None
@@ -641,34 +576,35 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
     n = I.nvars
     return minimalize(
         I.ambient,
-        [Monomial.from_support(c.support, n) for c in irreducible_decomposition(I)],
+        [support_vector(c.support, n) for c in irreducible_decomposition(I)],
     )
 
 
 # Serialization: `x1^2*x3` style, exponent 1 elided, `1` for the empty
 # monomial; ideals render as a bracketed generator list.
 
-def monomial_str(m: Monomial, ambient: tuple[str, ...]) -> str:
+def monomial_str(m: tuple[int, ...], ambient: tuple[str, ...]) -> str:
     parts = [
         name if e == 1 else f"{name}^{e}"
-        for name, e in zip(ambient, m.exps)
+        for name, e in zip(ambient, m)
         if e > 0
     ]
     return "*".join(parts) if parts else "1"
 
 
-def monomial_from_str(text: str, ambient: tuple[str, ...]) -> Monomial:
-    n = len(ambient)
+def monomial_from_str(text: str, ambient: tuple[str, ...]) -> tuple[int, ...]:
+    exps = [0] * len(ambient)
     if text.strip() == "1":
-        return Monomial.one(n)
-    exps: dict[int, int] = {}
+        return tuple(exps)
     for part in text.split("*"):
-        name, _, power = part.strip().partition("^")
+        name, caret, power = part.strip().partition("^")
         if name not in ambient:
             raise ValueError(f"unknown variable {name!r}")
-        i = ambient.index(name)
-        exps[i] = exps.get(i, 0) + (int(power) if power else 1)
-    return Monomial.from_map(exps, n)
+        e = int(power) if caret else 1  # an empty exponent raises here
+        if e < 0:
+            raise ValueError(f"negative exponent in {part.strip()!r}")
+        exps[ambient.index(name)] += e
+    return tuple(exps)
 
 
 def ideal_str(I: MonomialIdeal) -> str:

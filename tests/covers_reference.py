@@ -8,7 +8,12 @@ engine that the dual goes through.
 
 import itertools
 
-from covertool.monomials import Monomial, ideal_intersection, minimalize, unit_ideal
+from covertool.monomials import (
+    ideal_intersection,
+    minimalize,
+    support_vector,
+    unit_ideal,
+)
 
 
 def reference_cover_ideal(g, t):
@@ -19,7 +24,7 @@ def reference_cover_ideal(g, t):
         for subset in itertools.combinations(g.neighbors(x), t):
             prime = minimalize(
                 g.vertices,
-                [Monomial.variable(g.index(v), g.n) for v in (x, *subset)],
+                [support_vector([g.index(v)], g.n) for v in (x, *subset)],
             )
             result = ideal_intersection(result, prime)
     return result

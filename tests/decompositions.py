@@ -73,7 +73,7 @@ def reference_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, ...
     """The irredundant irreducible decomposition of a proper nonzero ideal,
     in the library's order (by support size, then bounds)."""
     assert not I.is_zero and not I.is_unit
-    vecs = _split(tuple(g.exps for g in I.gens), I.nvars, {})
+    vecs = _split(I.gens, I.nvars, {})
     comps = [tuple((i, e) for i, e in enumerate(v) if e != _INF) for v in vecs]
     return tuple(
         IrreducibleComponent(c) for c in sorted(comps, key=lambda c: (len(c), c))

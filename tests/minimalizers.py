@@ -8,7 +8,7 @@ other candidate divides, so it shares nothing with the engine it checks.
 
 from operator import le
 
-from covertool.monomials import Monomial, MonomialIdeal
+from covertool.monomials import MonomialIdeal
 
 
 def _divides(a, b):
@@ -25,14 +25,14 @@ def reference_minimalize(ambient, vectors) -> MonomialIdeal:
         if not any(d != e and _divides(d, e) for d in candidates)
     ]
     minimal.sort(key=lambda e: (sum(e), [-x for x in e]))
-    return MonomialIdeal(tuple(ambient), tuple(Monomial(e) for e in minimal))
+    return MonomialIdeal(tuple(ambient), tuple(minimal))
 
 
 def reference_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return reference_minimalize(
         I.ambient,
         [
-            tuple(a + b for a, b in zip(g.exps, h.exps))
+            tuple(a + b for a, b in zip(g, h))
             for g in I.gens
             for h in J.gens
         ],
@@ -51,15 +51,15 @@ def reference_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return reference_minimalize(
         I.ambient,
         [
-            tuple(max(a, b) for a, b in zip(g.exps, h.exps))
+            tuple(max(a, b) for a, b in zip(g, h))
             for g in I.gens
             for h in J.gens
         ],
     )
 
 
-def reference_colon(I: MonomialIdeal, t: Monomial) -> MonomialIdeal:
+def reference_colon(I: MonomialIdeal, t) -> MonomialIdeal:
     return reference_minimalize(
         I.ambient,
-        [tuple(max(a - b, 0) for a, b in zip(g.exps, t.exps)) for g in I.gens],
+        [tuple(max(a - b, 0) for a, b in zip(g, t)) for g in I.gens],
     )

@@ -257,7 +257,7 @@ class TestWitness:
 
     def test_empty_word_boundary(self):
         cert = build_star_witness(2, 2, 1)
-        assert cert.T.is_one
+        assert cert.T == (0, 0, 0)
         assert cert.empty_word and cert.valid
 
     def test_full_grid_certificates_pass(self):
@@ -304,18 +304,22 @@ class TestAnnihilatorDivisibility:
 class TestLocalization:
     def test_contract_examples(self):
         g = path_graph(4)
-        assert localization_check(g, 2, 1, ("x1", "x2", "x3"))
-        assert localization_check(g, 2, 1, ("x1", "x2"))
-        assert localization_check(star_graph(3), 2, 2, ("z", "x1", "x2", "x3"))
+        report = ass_of_power(g, 2, 1)
+        assert localization_check(report, g, ("x1", "x2", "x3"))
+        assert localization_check(report, g, ("x1", "x2"))
+        star = star_graph(3)
+        report = ass_of_power(star, 2, 2)
+        assert localization_check(report, star, ("z", "x1", "x2", "x3"))
 
     def test_exhaustive_on_small_trees(self):
         small = [(name, g) for name, g in trees_up_to_6() if g.n <= 5]
         for name, g in small:
             for t in range(1, g.max_degree() + 1):
                 for s in (1, 2, 3):
+                    report = ass_of_power(g, t, s)
                     for size in range(1, g.n + 1):
                         for subset in itertools.combinations(g.vertices, size):
-                            assert localization_check(g, t, s, subset), (
+                            assert localization_check(report, g, subset), (
                                 name,
                                 t,
                                 s,
@@ -323,8 +327,21 @@ class TestLocalization:
                             )
 
     def test_unknown_vertices_rejected(self):
+        g = path_graph(3)
         with pytest.raises(ValueError, match="unknown"):
-            localization_check(path_graph(3), 1, 1, ("y1",))
+            localization_check(ass_of_power(g, 1, 1), g, ("y1",))
+
+    def test_ambient_mismatch_rejected(self):
+        report = ass_of_power(path_graph(4), 2, 1)
+        with pytest.raises(ValueError, match="ambient"):
+            localization_check(report, path_graph(5), ("x1", "x2"))
+
+    def test_needs_an_oracle_report(self):
+        g = path_graph(4)
+        localized = ass_of_power(g, 2, 1, mode="localized")
+        for report in (localized, predict_ass_tree(g, 2, 1)):
+            with pytest.raises(ValueError, match="oracle"):
+                localization_check(report, g, ("x1", "x2"))
 
 
 class TestConnectivity:

@@ -16,18 +16,16 @@ from covertool.covers import (
 )
 from covertool.graphs import Graph, cycle_graph, path_graph, spider, star_graph
 from covertool.monomials import (
-    Monomial,
     alexander_dual,
     ideal_contains_ideal,
     ideal_str,
     minimalize,
+    support_vector,
 )
 
 
 def cover_monomials(g, covers):
-    return [
-        Monomial.from_support([g.index(v) for v in w], g.n) for w in covers
-    ]
+    return [support_vector([g.index(v) for v in w], g.n) for w in covers]
 
 
 class TestIsPartialCover:
@@ -160,10 +158,7 @@ class TestGeneralizedEdgeIdeal:
         for _, g in graph_corpus():
             expected = minimalize(
                 g.vertices,
-                [
-                    Monomial.from_support([g.index(u) for u in e], g.n)
-                    for e in g.edges
-                ],
+                [support_vector([g.index(u) for u in e], g.n) for e in g.edges],
             )
             assert generalized_edge_ideal(g, 1) == expected
 
@@ -180,7 +175,7 @@ class TestGeneralizedEdgeIdeal:
                 for x in g.vertices:
                     for sub in itertools.combinations(g.neighbors(x), t):
                         support = [g.index(x)] + [g.index(y) for y in sub]
-                        gens.append(Monomial.from_support(support, g.n))
+                        gens.append(support_vector(support, g.n))
                 formula = minimalize(g.vertices, gens)
                 dual = alexander_dual(partial_cover_ideal(g, t))
                 assert dual == formula, (name, t)
@@ -257,5 +252,5 @@ def test_cover_check_agrees_with_ideal_membership(mask, t):
     g = spider(1, 1, 2)
     members = [v for i, v in enumerate(g.vertices) if mask & (1 << i)]
     claim = is_partial_cover(g, t, members)
-    x_w = Monomial.from_support([g.index(v) for v in members], g.n)
+    x_w = support_vector([g.index(v) for v in members], g.n)
     assert claim == contains(partial_cover_ideal(g, t), x_w)

@@ -17,10 +17,10 @@ from covertool.hypercovers import (
     verify_gap,
 )
 from covertool.monomials import (
-    Monomial,
     alexander_dual,
     ideal_str,
     minimalize,
+    support_vector,
 )
 
 
@@ -51,10 +51,7 @@ class TestCoverIdeal:
             I = hypergraph_cover_ideal(h)
             edges = minimalize(
                 h.vertices,
-                [
-                    Monomial.from_support([h.index(v) for v in e], h.n)
-                    for e in h.edges
-                ],
+                [support_vector([h.index(v) for v in e], h.n) for e in h.edges],
             )
             assert alexander_dual(I) == edges, name
 

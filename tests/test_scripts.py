@@ -1,7 +1,8 @@
-"""Smoke tests for the scripts under scripts/."""
+"""Smoke tests for the scripts under scripts/ and the README's examples."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 from covertool.graphs import path_graph, star_graph
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def test_star_table_runs():
@@ -41,3 +43,10 @@ def test_tree_survey_matches_on_small_trees():
         rows = tree_survey.survey_tree(name, g)
         assert len(rows) == g.max_degree()
         assert all(row[4] == "MATCH" for row in rows), rows
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -9,9 +9,9 @@ with the engine it checks.
 import itertools
 
 from covertool.monomials import (
-    Monomial,
     MonomialIdeal,
     minimalize,
+    support_vector,
     unit_ideal,
     zero_ideal,
 )
@@ -24,7 +24,7 @@ def reference_dual(I: MonomialIdeal) -> MonomialIdeal:
         return zero_ideal(I.ambient)
     if I.is_zero:
         return unit_ideal(I.ambient)
-    supports = [set(g.support) for g in I.gens]
+    supports = [{i for i, e in enumerate(g) if e} for g in I.gens]
     universe = sorted(set().union(*supports))
     kept: list[set[int]] = []
     for size in range(len(universe) + 1):
@@ -35,12 +35,12 @@ def reference_dual(I: MonomialIdeal) -> MonomialIdeal:
             if all(s & supp for supp in supports):
                 kept.append(s)
     n = I.nvars
-    return minimalize(I.ambient, [Monomial.from_support(s, n) for s in kept])
+    return minimalize(I.ambient, [support_vector(s, n) for s in kept])
 
 
 def edge_ideal(h) -> MonomialIdeal:
     """The square-free ideal generated by the edges of a (hyper)graph."""
     return minimalize(
         h.vertices,
-        [Monomial.from_support([h.index(v) for v in e], h.n) for e in h.edges],
+        [support_vector([h.index(v) for v in e], h.n) for e in h.edges],
     )
