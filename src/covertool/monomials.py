@@ -11,8 +11,9 @@ consults graph structure.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -66,7 +67,7 @@ class IrreducibleComponent:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set.
 
@@ -75,14 +76,40 @@ class MonomialIdeal:
     by (total degree, exponent vector); the unit ideal is {1} and the
     zero ideal has no generators.  Build instances through `minimalize`
     or the ideal operations, not directly.
+
+    A power built by `ideal_power` holds, in `_reps`, the classes of
+    interchangeable variables of its base and its canonical generators,
+    one per orbit (see `_classes`); `gens` is expanded from them on
+    first read and kept.  The next power, `associated_primes`,
+    `contains` and `colon` read `_reps` and never force the expansion.
+    Equality, hashing and repr go through `gens`, so `_reps` is not
+    part of the ideal's value.
     """
 
     ambient: tuple[str, ...]
-    gens: tuple[tuple[int, ...], ...]
-    # On a power built by `ideal_power`: the classes of interchangeable
-    # variables of its base and the canonical generators, one per orbit
-    # (see `_classes`).  They are not part of the ideal's value.
-    _reps: tuple | None = field(default=None, compare=False, hash=False, repr=False)
+    _gens: tuple[tuple[int, ...], ...] | None
+    _reps: tuple | None = None
+
+    @property
+    def gens(self) -> tuple[tuple[int, ...], ...]:
+        if self._gens is None:
+            classes, reps = self._reps
+            orbits = _orbits(reps, classes)
+            if len(orbits) > len(reps):  # the expansion broke the canonical order
+                orbits = sorted(orbits, key=_canon_key)
+            object.__setattr__(self, "_gens", tuple(orbits))
+        return self._gens
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient, self.gens) == (other.ambient, other.gens)
+
+    def __hash__(self):
+        return hash((self.ambient, self.gens))
+
+    def __repr__(self):
+        return f"MonomialIdeal(ambient={self.ambient!r}, gens={self.gens!r})"
 
     @property
     def nvars(self) -> int:
@@ -90,15 +117,18 @@ class MonomialIdeal:
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        _, reps = self._reps or ((), self.gens)
+        return not reps
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and not any(self.gens[0])
+        _, reps = self._reps or ((), self.gens)
+        return len(reps) == 1 and not any(reps[0])
 
     @property
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for g in self.gens for e in g)
+        _, reps = self._reps or ((), self.gens)
+        return all(e <= 1 for g in reps for e in g)
 
     def __str__(self) -> str:
         return ideal_str(self)
@@ -222,12 +252,30 @@ def _orbits(vecs, classes) -> list[tuple[int, ...]]:
     return vecs
 
 
+def _orbit_members(reps, classes) -> int:
+    """The number of vectors in the orbits of reps: per class, the
+    multinomial of the multiplicities of its entries."""
+    if not classes:
+        return len(reps)
+    total = 0
+    for r in reps:
+        members = 1
+        for cls in classes:
+            values = [r[i] for i in cls]
+            members *= math.factorial(len(values))
+            for x in set(values):
+                members //= math.factorial(values.count(x))
+        total += members
+    return total
+
+
 def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
     """Drop every vector strictly divisible by another; sort canonically.
 
     A proper divisor has strictly smaller degree and distinct vectors of
-    equal degree never divide each other, so each candidate is compared
-    only with the kept vectors of smaller degree.
+    equal degree never divide each other, so the candidates are taken in
+    order of degree alone, each is compared only with the kept vectors
+    of smaller degree, and only the kept vectors are sorted canonically.
 
     Those sit in one int, `pool`, one slot per vector: its packed fields
     and, above them, a slot-guard bit, the slot rounded up to whole
@@ -239,7 +287,7 @@ def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
     that from the slot guards keeps a slot's guard exactly when the slot
     is zero.
     """
-    vecs = sorted(set(exps_list), key=_canon_key)
+    vecs = sorted(set(exps_list), key=sum)
     if not vecs:
         return ()
     largest = max(itertools.chain.from_iterable(vecs), default=0)
@@ -268,19 +316,27 @@ def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
         if not (slot_guards - above) & slot_guards:
             kept.append(e)
             level.append(p)
-    return tuple(kept)
+    return tuple(sorted(kept, key=_canon_key))
+
+
+def _check_exponents(e, nvars: int):
+    """Raise ValueError, naming e, unless it is a tuple of nvars
+    non-negative ints: the form of every vector the engine holds."""
+    if type(e) is not tuple or not {int}.issuperset(map(type, e)):
+        raise ValueError(f"monomial {e!r} is not a tuple of ints")
+    if len(e) != nvars:
+        raise ValueError(f"monomial {e} does not live in {nvars} variables")
+    if min(e, default=0) < 0:
+        raise ValueError(f"negative exponent in {e}")
 
 
 def minimalize(ambient, gens) -> MonomialIdeal:
     """The ideal generated by the exponent tuples `gens`, reduced to
     minimal generators."""
     ambient = tuple(ambient)
-    n = len(ambient)
+    gens = list(gens)  # an iterator would be spent by the checks
     for g in gens:
-        if len(g) != n:
-            raise ValueError(f"monomial {g} does not live in {n} variables")
-        if any(e < 0 for e in g):
-            raise ValueError(f"negative exponent in {g}")
+        _check_exponents(g, len(ambient))
     return MonomialIdeal(ambient, _minimalize_exps(gens))
 
 
@@ -321,10 +377,11 @@ def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
     """I^s, minimalizing after each multiplication to control blowup.
 
     Each step multiplies the canonical generators of I^(s-1), one per
-    orbit of I's interchangeable variables, by every generator of I,
-    minimalizes the canonical products and expands them to their orbits.
-    The power holds its canonical generators and the classes, which the
-    next step and the decomposition start from.
+    orbit of I's interchangeable variables, by every generator of I and
+    minimalizes the canonical products.  The power holds its canonical
+    generators and the classes, which the next step, the decomposition,
+    `contains` and `colon` start from; its `gens` are expanded from them
+    only when read.
     """
     if s < 0:
         raise ValueError("negative power")
@@ -343,11 +400,7 @@ def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
         for r in reps
         for h, touched in factors
     }
-    reps = _minimalize_exps(prods)
-    orbits = _orbits(reps, classes)
-    if len(orbits) > len(reps):  # the expansion broke the canonical order
-        orbits = sorted(orbits, key=_canon_key)
-    return MonomialIdeal(I.ambient, tuple(orbits), (classes, reps))
+    return MonomialIdeal(I.ambient, None, (classes, _minimalize_exps(prods)))
 
 
 def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -358,16 +411,21 @@ def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def colon(I: MonomialIdeal, t: tuple[int, ...]) -> MonomialIdeal:
     """The quotient I : <t>, computed generator by generator."""
-    if len(t) != I.nvars:
-        raise ValueError("colon monomial lives in the wrong number of variables")
-    quotients = {tuple(map(operator.sub, map(max, g, t), t)) for g in I.gens}
+    _check_exponents(t, I.nvars)
+    classes, reps = I._reps or ((), I.gens)
+    quotients = {
+        tuple(map(operator.sub, map(max, g, t), t)) for g in _orbits(reps, classes)
+    }
     return MonomialIdeal(I.ambient, _minimalize_exps(quotients))
 
 
 def contains(I: MonomialIdeal, m: tuple[int, ...]) -> bool:
-    if len(m) != I.nvars:
-        raise ValueError("membership test in the wrong number of variables")
-    return any(all(map(operator.le, g, m)) for g in I.gens)
+    """Whether m lies in I: some generator of I divides it, which for a
+    canonical generator is some member of its orbit (see `_classes`)."""
+    _check_exponents(m, I.nvars)
+    classes, reps = I._reps or ((), I.gens)
+    m = _canonical(m, classes)
+    return any(all(map(operator.le, g, m)) for g in reps)
 
 
 def ideal_contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
@@ -485,12 +543,14 @@ def _decompose(I: MonomialIdeal):
 
     A power starts from the classes and canonical generators it holds.
     Finding the classes and holding orbits has a fixed cost per call
-    that only larger ideals repay: on tree cells it took up to twice the
-    time below 8 generators and broke even between 32 and 64, so smaller
-    ideals are decomposed generator by generator.
+    that only larger ideals repay: on tree cells it took up to 1.6 times
+    the time below 8 generators and broke even between 16 and 64, so
+    smaller ideals, counted from the orbits they hold, are decomposed
+    generator by generator.
     """
-    if len(I.gens) < _ORBIT_MIN_GENS:
-        classes, reps = (), I.gens
+    classes, reps = I._reps or ((), I.gens)
+    if _orbit_members(reps, classes) < _ORBIT_MIN_GENS:
+        classes, reps = (), _orbits(reps, classes)
     else:
         classes, reps = _held_reps(I)
     top = 1 + max(map(max, reps))

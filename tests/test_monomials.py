@@ -57,7 +57,7 @@ from covertool.monomials import (
     zero_ideal,
 )
 from covertool.monomials import _classes as classes_of_gens
-from covertool.monomials import _components
+from covertool.monomials import _components, _orbit_members
 
 X4 = ("x1", "x2", "x3", "x4")
 ZX3 = ("z", "x1", "x2", "x3")
@@ -93,6 +93,24 @@ class TestMonomial:
         with pytest.raises(ValueError):
             contains(I, (1, 0))
 
+    def test_list_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"\[1, 0\]"):
+            minimalize(("a", "b"), [[1, 0]])
+
+    def test_float_exponent_rejected(self):
+        with pytest.raises(ValueError, match=r"\(1\.5, 0\)"):
+            minimalize(("a", "b"), [(1.5, 0)])
+
+    def test_negative_colon_vector_rejected(self):
+        I = minimalize(("a", "b"), [(1, 0)])
+        with pytest.raises(ValueError, match=r"negative exponent in \(-1, 0\)"):
+            colon(I, (-1, 0))
+
+    def test_float_membership_vector_rejected(self):
+        I = minimalize(("a", "b"), [(1, 0)])
+        with pytest.raises(ValueError, match=r"\(2\.5, 0\)"):
+            contains(I, (2.5, 0))
+
     def test_string_round_trip(self):
         for text in ("1", "x1", "x2^3", "x1*x3^2*x4"):
             assert monomial_str(mono(X4, text), X4) == text
@@ -126,6 +144,11 @@ class TestMinimalize:
     def test_idempotent(self):
         I = ideal(X4, "x1*x2", "x3")
         assert minimalize(I.ambient, list(I.gens)) == I
+
+    def test_generators_from_an_iterator(self):
+        vectors = [(1, 0), (0, 1), (1, 1)]
+        expected = minimalize(("a", "b"), vectors)
+        assert minimalize(("a", "b"), iter(vectors)) == expected
 
     def test_wrong_variable_count_rejected(self):
         with pytest.raises(ValueError):
@@ -481,11 +504,41 @@ class TestHeldRepresentatives:
 
     def test_held_reps_leave_value_and_hash(self):
         J = partial_cover_ideal(star_graph(5), 2)
-        power = ideal_power(J, 3)
-        plain = minimalize(power.ambient, power.gens)
-        assert power._reps is not None and plain._reps is None
+
+        def unexpanded():
+            ideal_power.cache_clear()
+            power = ideal_power(J, 3)
+            assert power._gens is None
+            return power
+
+        plain = reference_power(J, 3)
+        assert unexpanded()._reps is not None and plain._reps is None
+        square = ideal_power(unexpanded(), 2)
+        assert square == ideal_power(plain, 2) == reference_power(J, 6)
+        # Each first read of the generators happens inside the call.
+        assert unexpanded() == plain
+        assert hash(unexpanded()) == hash(plain)
+        assert repr(unexpanded()) == repr(plain)
+        power = unexpanded()
+        assert power.gens == plain.gens
         assert power == plain and hash(power) == hash(plain)
         assert repr(power) == repr(plain)
+
+    def test_engine_reads_leave_gens_unbuilt(self):
+        ideal_power.cache_clear()
+        for key, J, power in _corpus_powers():
+            if key[2] < 2:
+                continue
+            assert not power.is_zero and not power.is_unit, key
+            assert not power.is_squarefree, key
+            associated_primes(power)
+            ones = (1,) * power.nvars
+            contains(power, ones)
+            colon(power, ones)
+            ideal_power(J, key[2] + 1)
+            assert power._gens is None, key
+            classes, reps = power._reps
+            assert _orbit_members(reps, classes) == len(power.gens), key
 
 
 class TestDecomposition:
@@ -709,6 +762,16 @@ def test_symmetric_power_and_decomposition(case):
             expected = reference_decomposition(power)
             assert irreducible_decomposition(power) == expected, s
             assert _orbits_agree(power, expected), s
+
+
+@given(symmetric_ideals_strategy(), st.integers(2, 3), exponents(), exponents())
+def test_colon_and_membership_on_held_reps(case, s, t, m):
+    # The power is read through its representatives: which path the
+    # engine takes does not depend on whether gens was built.
+    power = ideal_power(case[0], s)
+    got = (contains(power, m), colon(power, t))
+    plain = minimalize(power.ambient, power.gens)
+    assert got == (contains(plain, m), colon(plain, t))
 
 
 @given(ideals_strategy(), exponents(), exponents())
