@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 
 from .covers import partial_cover_ideal, star_generators
-from .graphs import Graph, enumerate_induced_stars
+from .graphs import Graph, enumerate_induced_stars, star_graph
 from .monomials import (
     MonomialIdeal,
     MonomialPrime,
     associated_primes,
-    colon,
     contains,
     ideal_power,
     monomial_str,
@@ -69,6 +68,9 @@ class WitnessCertificate:
     which the maximal ideal becomes associated.  empty_word marks the
     degenerate case where the cyclic word contributes no variables at
     all (n = t) and T is a pure power of z, possibly 1.
+    annihilator_divides records whether T divides z^e (x1...xn)^(s-e-1),
+    the bound every witness meets; `valid` covers only the two defining
+    checks.
     """
 
     T: tuple[int, ...]
@@ -76,6 +78,7 @@ class WitnessCertificate:
     P: MonomialPrime
     not_in_power: bool
     colon_equals_prime: bool
+    annihilator_divides: bool
     n: int
     t: int
     s0: int
@@ -160,7 +163,7 @@ def predict_ass_star(n: int, t: int, s: int) -> AssReport:
     _check_positive("s", s)
     if t > n:
         raise ValueError(f"t={t} exceeds the number of leaves n={n}")
-    ambient = ("z",) + tuple(f"x{i}" for i in range(1, n + 1))
+    ambient = star_graph(n).vertices
     rmax = min(n, s * (t - 1) + 1)
     primes = set()
     for r in range(t, rmax + 1):
@@ -248,13 +251,36 @@ def oracle_sweep(g: Graph, t: int, s_max: int | None = None) -> StabilityReport:
     return empirical_astab(cover_ideal_checked(g, t), s_max)
 
 
+def _witness_checks(Js: MonomialIdeal, T: tuple[int, ...]) -> tuple[bool, bool]:
+    """(T not in Js, Js : T equals the maximal ideal), decided by
+    membership on Js as it is held.
+
+    Js : T contains every variable exactly when each x_i T lies in Js,
+    and it is proper exactly when T does not; a proper monomial ideal
+    that contains every variable is the maximal ideal.
+    """
+    not_in = not contains(Js, T)
+    return not_in, not_in and all(
+        contains(Js, T[:i] + (T[i] + 1,) + T[i + 1 :]) for i in range(len(T))
+    )
+
+
+def _divides_annihilator_bound(T: tuple[int, ...], s: int) -> bool:
+    """Whether T divides z^e (x1...xn)^(s-e-1) with e the z-exponent of T."""
+    e = T[0]
+    # For a witness, T not in J^s rules out z^s | T, so s - e - 1 >= 0.
+    bound = (e,) + (s - e - 1,) * (len(T) - 1)
+    return all(a <= b for a, b in zip(T, bound))
+
+
 def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:
     """The explicit maximal-ideal witness for J_t(K_{1,n})^s.
 
     With s0 the least power at which the maximal ideal appears and
     e = s - s0, the witness is z^e times the product of the first
     s0(n-t+1)-1 terms of the repeating sequence x1, x2, ..., xn, x1, ...
-    Both defining checks are recomputed with the oracle and recorded.
+    Both defining checks are decided on the oracle's power and recorded,
+    together with the annihilator divisibility bound.
     """
     _check_positive("n", n)
     _check_positive("s", s)
@@ -276,17 +302,14 @@ def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:
     for k in range(length):
         exps[1 + k % n] += 1
     T = tuple(exps)
-    J = star_generators(n, t)
-    Js = ideal_power(J, s)
-    P = MonomialPrime(frozenset(range(nv)))
-    not_in = not contains(Js, T)
-    colon_ok = colon(Js, T) == P.as_ideal(J.ambient)
+    not_in, colon_ok = _witness_checks(ideal_power(star_generators(n, t), s), T)
     return WitnessCertificate(
         T=T,
         s=s,
-        P=P,
+        P=MonomialPrime(frozenset(range(nv))),
         not_in_power=not_in,
         colon_equals_prime=colon_ok,
+        annihilator_divides=_divides_annihilator_bound(T, s),
         n=n,
         t=t,
         s0=s0,
@@ -313,21 +336,17 @@ def verify_annihilator_divisibility(
     J = star_generators(n, t)
     if len(T) != n + 1:
         raise ValueError("witness lives in the wrong number of variables")
-    Js = ideal_power(J, s)
-    P = MonomialPrime(frozenset(range(n + 1)))
-    if contains(Js, T):
+    not_in, colon_ok = _witness_checks(ideal_power(J, s), T)
+    if not not_in:
         raise ValueError(
             f"{monomial_str(T, J.ambient)} lies in the power; not a witness"
         )
-    if colon(Js, T) != P.as_ideal(J.ambient):
+    if not colon_ok:
         raise ValueError(
             f"colon of the power by {monomial_str(T, J.ambient)} is not the "
             "maximal ideal; not a witness"
         )
-    e = T[0]
-    # T not in J^s rules out z^s | T, so s - e - 1 >= 0.
-    bound = (e,) + (s - e - 1,) * n
-    return all(a <= b for a, b in zip(T, bound))
+    return _divides_annihilator_bound(T, s)
 
 
 def _check_report_ambient(report: AssReport, g: Graph):

@@ -23,10 +23,9 @@ from .associated import (
     empirical_astab,
     oracle_sweep,
     predict_ass_tree,
-    verify_annihilator_divisibility,
 )
 from .covers import partial_cover_ideal
-from .graphs import Graph, Hypergraph, ParseError, parse_hypergraph
+from .graphs import Graph, Hypergraph, ParseError, parse_hypergraph, star_graph
 from .hypercovers import hypergraph_cover_ideal, verify_gap
 from .monomials import (
     MonomialIdeal,
@@ -275,11 +274,9 @@ def cmd_witness(args) -> int:
         if "maximal ideal not associated" in message:
             message += "; the criterion is s(t-1) >= n-1"
         raise CommandError(message) from exc
-    ambient = ("z",) + tuple(f"x{i}" for i in range(1, args.n + 1))
+    ambient = star_graph(args.n).vertices
     passes = cert.valid
-    divides = passes and verify_annihilator_divisibility(
-        args.n, args.t, args.s, cert.T
-    )
+    divides = passes and cert.annihilator_divides
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "witness",

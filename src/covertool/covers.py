@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, find_special_vertex
+from .graphs import Graph, find_special_vertex, star_graph
 from .monomials import (
     MonomialIdeal,
     alexander_dual,
@@ -100,7 +100,7 @@ def star_generators(n: int, t: int) -> MonomialIdeal:
         raise ValueError(f"a star needs at least one leaf, got n={n}")
     if t > n:
         raise ValueError(f"t={t} exceeds the number of leaves n={n}")
-    ambient = ("z",) + tuple(f"x{i}" for i in range(1, n + 1))
+    ambient = star_graph(n).vertices
     nv = n + 1
     gens = [support_vector((0,), nv)]
     for combo in itertools.combinations(range(1, nv), n - t + 1):

@@ -16,12 +16,15 @@ from covertool.associated import (
     predict_ass_tree,
     verify_annihilator_divisibility,
 )
+from covertool.associated import _witness_checks
 from covertool.catalog import nontree_graphs, trees_up_to_6
 from covertool.covers import partial_cover_ideal, star_generators
 from covertool.graphs import cycle_graph, path_graph, spider, star_graph
 from covertool.monomials import (
     MonomialPrime,
     associated_primes,
+    colon,
+    contains,
     ideal_power,
     minimalize,
     monomial_from_str,
@@ -277,6 +280,27 @@ class TestWitness:
         with pytest.raises(ValueError, match="t >= 2"):
             build_star_witness(3, 1, 1)
 
+    def test_membership_checks_agree_with_colon(self):
+        # The criterion-07 grid; around each witness T, its neighbours
+        # T*x_i and T/x_i lie in the power or have a smaller colon.
+        for n in range(2, 6):
+            for t in range(2, n + 1):
+                s0 = math.ceil((n - 1) / (t - 1))
+                m = MonomialPrime(frozenset(range(n + 1))).as_ideal(
+                    star_graph(n).vertices
+                )
+                for s in range(s0, s0 + 3):
+                    Js = ideal_power(star_generators(n, t), s)
+                    T = build_star_witness(n, t, s).T
+                    probes = [T]
+                    for i in range(n + 1):
+                        for step in (1, -1):
+                            if T[i] + step >= 0:
+                                probes.append(T[:i] + (T[i] + step,) + T[i + 1 :])
+                    for probe in probes:
+                        want = (not contains(Js, probe), colon(Js, probe) == m)
+                        assert _witness_checks(Js, probe) == want, (n, t, s, probe)
+
 
 class TestAnnihilatorDivisibility:
     def test_constructed_witnesses_satisfy_bound(self):
@@ -289,6 +313,12 @@ class TestAnnihilatorDivisibility:
         inside = monomial_from_str("x1^2*x2*x3", ambient)  # (x1x2)(x1x3)
         with pytest.raises(ValueError, match="not a witness"):
             verify_annihilator_divisibility(3, 2, 2, inside)
+
+    def test_colon_not_maximal_rejected(self):
+        ambient = ("z", "x1", "x2", "x3")
+        outside = monomial_from_str("x2*x3", ambient)  # x1*x2*x3 not in J^2
+        with pytest.raises(ValueError, match="is not the maximal ideal; not a witness"):
+            verify_annihilator_divisibility(3, 2, 2, outside)
 
     def test_oracle_found_witnesses_satisfy_bound(self):
         from covertool.monomials import ideal_power, witness_search

@@ -478,10 +478,30 @@ class TestIntegrityFailures:
         )
 
     def test_witness_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_annihilator_divisibility", lambda *a: False)
+        build = cli.build_star_witness
+        monkeypatch.setattr(
+            cli,
+            "build_star_witness",
+            lambda *a: dataclasses.replace(build(*a), annihilator_divides=False),
+        )
         code, out, _ = run(capsys, "witness", "--n", "3", "--t", "2", "--s", "2")
         assert code == 3
         assert out.splitlines()[-1] == "MISMATCH: witness fails at n=3 t=2 s=2"
+
+    def test_witness_colon_fails(self, capsys, monkeypatch):
+        build = cli.build_star_witness
+        monkeypatch.setattr(
+            cli,
+            "build_star_witness",
+            lambda *a: dataclasses.replace(build(*a), colon_equals_prime=False),
+        )
+        code, out, _ = run(capsys, "witness", "--n", "3", "--t", "2", "--s", "2")
+        assert code == 3
+        assert out.splitlines()[2:] == [
+            "colon(J^2, T) = <z, x1..x3>: FAIL",
+            "divisibility bound T | z^e*(x1..x3)^(s-e-1): FAIL",
+            "MISMATCH: witness fails at n=3 t=2 s=2",
+        ]
 
     def test_gap_violated(self, capsys, monkeypatch):
         verify = cli.verify_gap

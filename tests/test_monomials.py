@@ -24,7 +24,11 @@ from transversals import edge_ideal, reference_dual
 
 from covertool.associated import astab_tree, build_star_witness
 from covertool.catalog import graph_corpus, hypergraph_corpus
-from covertool.covers import generalized_edge_ideal, partial_cover_ideal
+from covertool.covers import (
+    generalized_edge_ideal,
+    partial_cover_ideal,
+    star_generators,
+)
 from covertool.graphs import (
     Graph,
     broom,
@@ -539,6 +543,16 @@ class TestHeldRepresentatives:
             assert power._gens is None, key
             classes, reps = power._reps
             assert _orbit_members(reps, classes) == len(power.gens), key
+
+    def test_witness_leaves_its_power_unexpanded(self):
+        # The four cells of the witness_power benchmark workload and the
+        # smallest nontrivial one.
+        cells = ((6, 3, 4), (7, 2, 6), (7, 4, 3), (7, 3, 4), (3, 2, 2))
+        ideal_power.cache_clear()
+        irreducible_decomposition.cache_clear()
+        for n, t, s in cells:
+            assert build_star_witness(n, t, s).valid, (n, t, s)
+            assert ideal_power(star_generators(n, t), s)._gens is None, (n, t, s)
 
 
 class TestDecomposition:

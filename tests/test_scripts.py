@@ -45,6 +45,32 @@ def test_tree_survey_matches_on_small_trees():
         assert all(row[4] == "MATCH" for row in rows), rows
 
 
+def test_cli_digest_on_a_subset(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "cli_digest", SCRIPTS / "cli_digest.py"
+    )
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    assert len(cli_digest.witness_commands()) == 308
+    cli_digest.write_corpus(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    witness = [argv for argv in cli_digest.witness_commands() if argv[2] == "3"]
+    commands = (
+        cli_digest.graph_commands("P4", path_graph(4))
+        + cli_digest.hypergraph_commands("K3")
+        + cli_digest.gap_commands()[:1]
+        + witness
+    )
+    first = cli_digest.digests(commands)
+    assert list(first) == ["sweep", "ideal", "ass", "stability", "gap", "witness"]
+    # n = 3: t = 2 needs s >= 2 and t = 3 any s >= 1; the rest exit 1.
+    assert first["witness"][:2] == (35, {0: 11, 1: 24})
+    assert cli_digest.digests(commands) == first
+    code, out, err = cli_digest.run_command(witness[16])  # t=2 s=2
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "T = x1*x2*x3  (s0=2, e=0)"
+
+
 def test_readme_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     assert blocks
