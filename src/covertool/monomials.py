@@ -157,6 +157,47 @@ def _pack(e: tuple[int, ...], width: int) -> int:
     return packed
 
 
+class _Slots:
+    """Many packed vectors in one int, one byte-aligned slot each.
+
+    A slot holds a vector's packed fields and, above them, a slot-guard
+    bit, the slot rounded up to whole bytes so that a list of vectors is
+    packed with one join.  With `rep` a 1 in the lowest bit of every
+    slot, p * rep holds p in every slot, so one subtraction compares a
+    vector with all of them.  A field keeps its guard bit in such a
+    difference where the comparison held, so a slot of `x & guards`
+    equals the field guards of the slot exactly when it held in every
+    field, and only then does adding `fill`, the slot guard less the
+    field guards, carry into the slot guard: `((x & guards) + fill) &
+    slot_guards` has one set bit per such slot, counted by
+    `bit_count()`.
+    """
+
+    def __init__(self, width: int, nvars: int, H: int):
+        self.size = nvars * width // 8 + 1  # bytes per slot, slot guard included
+        self.bits = 8 * self.size
+        self.H = H
+
+    def pack(self, packed) -> int:
+        """The vectors of `packed`, in order, from slot 0 up."""
+        size = self.size
+        return int.from_bytes(
+            b"".join(p.to_bytes(size, "little") for p in packed), "little"
+        )
+
+    def masks(self, count: int) -> tuple[int, int, int, int]:
+        """`rep`, the field guards, `fill` and the slot guards of `count`
+        slots."""
+        rep = int.from_bytes((b"\1" + bytes(self.size - 1)) * count, "little")
+        guards, slot_guards = self.H * rep, rep << (self.bits - 1)
+        return rep, guards, slot_guards - guards, slot_guards
+
+    def flags(self, marks: int, count: int) -> bytes:
+        """One byte per slot of `count`, nonzero where `marks` has the
+        slot guard set."""
+        return marks.to_bytes(count * self.size, "little")[self.size - 1 :: self.size]
+
+
 def _canon_key(e: tuple[int, ...]):
     # Degree first, then reverse-lexicographic on exponents, so that
     # among equals the generator touching the earliest variable prints
@@ -277,15 +318,11 @@ def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
     order of degree alone, each is compared only with the kept vectors
     of smaller degree, and only the kept vectors are sorted canonically.
 
-    Those sit in one int, `pool`, one slot per vector: its packed fields
-    and, above them, a slot-guard bit, the slot rounded up to whole
-    bytes so that a finished degree level is appended with one join.
-    With `rep` a 1 in the lowest bit of every slot, (p | H) * rep holds
-    p | H in every slot; subtracting the pool borrows within no field,
-    so the field guards that survive, flipped, mark the fields where the
-    slot's vector exceeds e, and a zero slot is a divisor.  Subtracting
-    that from the slot guards keeps a slot's guard exactly when the slot
-    is zero.
+    Those sit in one int, `pool`, one slot per vector (see `_Slots`), a
+    finished degree level appended at once.  (p | H) * rep holds p | H
+    in every slot; subtracting the pool borrows within no field, so a
+    field fails where the slot's vector exceeds e, and a slot that fails
+    in no field is a divisor.
     """
     vecs = sorted(set(exps_list), key=sum)
     if not vecs:
@@ -293,27 +330,23 @@ def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
     largest = max(itertools.chain.from_iterable(vecs), default=0)
     nvars = len(vecs[0])
     width, H = _layout(largest, nvars)
-    size = nvars * width // 8 + 1  # bytes per slot, slot guard included
-    slot_guard = 1 << (8 * size - 1)
+    slots = _Slots(width, nvars, H)
     kept: list[tuple[int, ...]] = []
-    pool = rep = guards = slot_guards = 0
-    slots = 0
+    pool = rep = guards = fill = slot_guards = 0
+    count = 0
     level: list[int] = []  # packed kept vectors of the current degree
     degree = None
     for e in vecs:
         d = sum(e)
         if d != degree:
             if level:
-                chunk = b"".join(p.to_bytes(size, "little") for p in level)
-                pool |= int.from_bytes(chunk, "little") << (8 * size * slots)
-                slots += len(level)
-                rep = int.from_bytes((b"\1" + bytes(size - 1)) * slots, "little")
-                guards, slot_guards = H * rep, slot_guard * rep
+                pool |= slots.pack(level) << (slots.bits * count)
+                count += len(level)
+                rep, guards, fill, slot_guards = slots.masks(count)
                 level = []
             degree = d
         p = _pack(e, width)
-        above = ((p | H) * rep - pool) & guards ^ guards
-        if not (slot_guards - above) & slot_guards:
+        if not ((((p | H) * rep - pool) & guards) + fill) & slot_guards:
             kept.append(e)
             level.append(p)
     return tuple(sorted(kept, key=_canon_key))
@@ -479,61 +512,142 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
     k <= c is (c - k) & H == H.  A component c misses g exactly when
     g + 1 <= c on the support of g, and a tightening at variable i
     clears the exponent bits of field i and writes g_i there.
+
+    The held vectors sit in one int, `pool`, one slot each (see
+    `_Slots`), so that g is tested against all of them, and each new
+    vector against all others, in a few operations on it.  `vecs` lists
+    the vector of every slot in slot order, which is the order of the
+    result.  A replaced or redundant component is not removed: its slot
+    is set to H, all fields 0, which misses no generator and lies above
+    no component, since every component entry is at least 1.  The spare
+    slots at the top hold H too.  Once the dead slots outnumber the
+    live ones they are dropped.
     """
     width, H = _layout(top, nvars)
     low = (1 << (width - 1)) - 1  # the exponent bits of one field
     sorters = [_SortedFields(cls, width) for cls in classes]
+    slots = _Slots(width, nvars, H)
+    bits = slots.bits
+    exponents = ((1 << nvars * width) - 1) ^ H  # the exponent bits of a slot
+    fields = [low << i * width for i in range(nvars)]
+    in_classes = sum(low << i * width for cls in classes for i in cls)
+    class_shifts = [(cls, [i * width for i in cls]) for cls in classes]
+
+    def members(r):
+        # The orbit of r packed, in the order of `_orbits`: every
+        # arrangement of each class's entries, the last class fastest.
+        packed = _pack(r, width)
+        if not classes:
+            return [packed]
+        choices = [
+            [
+                sum(map(operator.lshift, values, shifts))
+                for values in _arrangements([r[i] for i in cls])
+            ]
+            for cls, shifts in class_shifts
+        ]
+        rest = packed & ~in_classes
+        return [rest + sum(parts) for parts in itertools.product(*choices)]
 
     def canonical(c, touched):
         for sorter in touched:
-            bits = c & sorter.mask
-            c ^= bits ^ sorter[bits]
+            part = c & sorter.mask
+            c ^= part ^ sorter[part]
         return c
 
-    def maximal(new, kept):
-        # No vector of new equals one of kept, so a vector c of new is
-        # redundant exactly when it lies below some d != c in kept + new:
-        # c itself is one hit, a second one is a proper cover.
-        pool = kept + list(new)
-        return [
-            c
-            for c in new
-            if list(map(H.__and__, map((c ^ H).__rsub__, pool))).count(H) < 2
-        ]
+    vecs = [_pack((top,) * nvars, width) | H]
+    live = 1  # slots of vecs that hold a component
+    held = 0  # slots filled before the current orbit
+    pool = vecs[0]
+    cap = rep = guards = fill = slot_guards = 0
 
-    comps = [_pack((top,) * nvars, width) | H]
-    for rep in reps:
+    def resize(count):
+        # Room for count slots and some to spare; the slots cut off
+        # hold no component.
+        nonlocal cap, rep, guards, fill, slot_guards, pool
+        cap = count + count // 2 + 16
+        rep, guards, fill, slot_guards = slots.masks(cap)
+        pool = pool & ((1 << bits * cap) - 1) | guards
+
+    def live_flags():
+        # A live slot has an exponent bit set, which carries into its
+        # slot guard once the slot guard less one is added.
+        marks = ((pool ^ guards) + slot_guards - rep) & slot_guards
+        return slots.flags(marks, len(vecs))
+
+    def compact():
+        nonlocal pool, held
+        flags = live_flags()
+        held -= flags[:held].count(0)
+        vecs[:] = itertools.compress(vecs, flags)
+        pool = slots.pack(vecs)
+        resize(len(vecs))
+
+    def append(new):
+        # No vector of new equals a held one, so a vector c of new is
+        # redundant exactly when it lies below some d != c in the pool
+        # once new is in it: c itself is one hit, a second one is a
+        # proper cover.  Dropping a redundant c at once leaves the
+        # others' verdicts as they were, since what c lies below covers
+        # them too.
+        nonlocal pool, live
+        start = len(vecs)
+        if start + len(new) > cap:
+            resize(start + len(new))
+        vecs.extend(new)
+        pool |= slots.pack(new) << bits * start
+        live += len(new)
+        for slot, c in enumerate(new, start):
+            c ^= H
+            if ((((pool - c * rep) & guards) + fill) & slot_guards).bit_count() > 1:
+                pool -= c << bits * slot
+                live -= 1
+
+    resize(1)
+    for r in reps:
         # Tightenings write only at the variables of the orbit, so the
         # classes it does not touch stay in canonical order.
-        touched = [s for s in sorters if any(rep[i] for i in s.cls)]
-        if touched:
-            held = set(comps)
-        for step, g in enumerate(_orbits([rep], classes)):
-            if step:
-                comps = kept + maximal(new, kept)
-            above = _pack(tuple(e + 1 if e else 0 for e in g), width)
-            tighten = [
-                (~(low << i * width), e << i * width)
-                for i, e in enumerate(g)
-                if e
-            ]
-            hits = list(map(H.__ne__, map(H.__and__, map(above.__rsub__, comps))))
-            kept = list(itertools.compress(comps, hits))
+        touched = [s for s in sorters if any(r[i] for i in s.cls)]
+        held = len(vecs)
+        for step, p in enumerate(members(r)):
+            if step and new:
+                append(new)
+            if len(vecs) > 2 * live:
+                compact()
+            # g + 1 on the support of g: adding a field's exponent bits
+            # carries into its guard bit exactly when the field is not 0.
+            above = p + (((p + exponents) & H) >> width - 1)
+            missed = (((pool - above * rep) & guards) + fill) & slot_guards
+            if not missed:
+                new = set()
+                continue
+            tighten = [(~field, p & field) for field in fields if p & field]
             new = {
                 c & clear | value
-                for c in itertools.compress(comps, map(operator.not_, hits))
+                for c in itertools.compress(vecs, slots.flags(missed, len(vecs)))
                 for clear, value in tighten
             }
+            pool &= ~((missed >> bits - 1) * exponents)
+            live -= missed.bit_count()
         if touched:
-            # A tightening lies strictly below a held orbit, so it is
-            # never itself held; a held vector that survives the orbit is
-            # still canonical and, as held orbits were irredundant, never
+            # The slots from `held` on were filled in this orbit: a
+            # tightening lies strictly below a held orbit, so it is never
+            # itself held.  A held vector that survives the orbit is still
+            # canonical and, as held orbits were irredundant, never
             # redundant.
-            new.update(itertools.filterfalse(held.__contains__, kept))
+            made = list(itertools.compress(vecs[held:], live_flags()[held:]))
+            new.update(made)
             new = {canonical(c, touched) for c in new}
-            kept = list(filter(held.__contains__, kept))
-        comps = kept + maximal(new, kept)
-    return [tuple((c >> i * width) & low for i in range(nvars)) for c in comps]
+            del vecs[held:]
+            live -= len(made)
+            pool &= (1 << bits * held) - 1
+            resize(held)
+        if new:
+            append(new)
+    return [
+        tuple((c >> i * width) & low for i in range(nvars))
+        for c in itertools.compress(vecs, live_flags())
+    ]
 
 
 def _decompose(I: MonomialIdeal):
@@ -543,10 +657,12 @@ def _decompose(I: MonomialIdeal):
 
     A power starts from the classes and canonical generators it holds.
     Finding the classes and holding orbits has a fixed cost per call
-    that only larger ideals repay: on tree cells it took up to 1.6 times
-    the time below 8 generators and broke even between 16 and 64, so
-    smaller ideals, counted from the orbits they hold, are decomposed
-    generator by generator.
+    that only larger ideals repay.  Timed on the `tree_sweep` benchmark
+    commands and on every tree with 7 to 9 vertices, any threshold from
+    8 to 96 generators came within 8% of the best, and 128 to 512 took
+    up to 1.75 times as long on 7 vertices, so ideals with fewer than
+    64, counted from the orbits they hold, are decomposed generator by
+    generator.
     """
     classes, reps = I._reps or ((), I.gens)
     if _orbit_members(reps, classes) < _ORBIT_MIN_GENS:

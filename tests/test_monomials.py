@@ -11,7 +11,7 @@ import random
 
 import pytest
 from decompositions import reference_decomposition
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from minimalizers import (
     reference_colon,
@@ -323,7 +323,82 @@ def _slot_boundary_vectors():
             yield [tuple(rng.choice(entries) for _ in range(nvars)) for _ in range(40)]
 
 
+# The decomposition's `top` (one more than the largest exponent) at
+# 2^k - 1 fills k bits and at 2^k needs one more; with 1-7 variables the
+# fields of a slot then end on every bit count modulo 8.
+_SLOT_TOPS = sorted({t for k in range(1, 10) for t in (2**k - 1, 2**k)} - {1})
+
+
+def _slot_boundary_ideals():
+    """Small ideals in 1-7 variables whose `top` is each of _SLOT_TOPS:
+    random generators on the exponents 0, 1, top - 2 and top - 1, with a
+    pure power of the last variable that reaches top - 1."""
+    for nvars in range(1, 8):
+        ambient = tuple(f"x{i}" for i in range(nvars))
+        for top in _SLOT_TOPS:
+            rng = random.Random(f"{nvars} {top}")
+            entries = (0, 1, top - 2, top - 1)
+            gens = [tuple(rng.choice(entries) for _ in range(nvars)) for _ in range(12)]
+            gens = [g for g in gens if any(g[:-1])]
+            yield minimalize(ambient, gens + [(0,) * (nvars - 1) + (top - 1,)])
+
+
+def _staircase(nvars, d):
+    """The monomials of degree d, each variable's exponent d raised to
+    d + its index: no two variables are interchangeable, and there are
+    C(d + nvars - 2, nvars - 1) components."""
+    return minimalize(
+        tuple(f"x{i}" for i in range(nvars)),
+        [
+            tuple(d + i if x == d else x for i, x in enumerate(e))
+            for e in itertools.product(range(d + 1), repeat=nvars)
+            if sum(e) == d
+        ],
+    )
+
+
+def _large_pool_ideals():
+    """Ideals the decomposition holds as more than 64 vectors, plain, and
+    held powers decomposed on their classes, where a star power drops
+    dead slots in the middle of an orbit."""
+    for nvars, d in [(3, 11), (4, 7), (5, 5)]:
+        yield _staircase(nvars, d)
+    for nvars in (4, 5):
+        square = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) == 2]
+        yield ideal_power(minimalize(tuple(f"x{i}" for i in range(nvars)), square), 2)
+    yield ideal_power(star_generators(4, 2), 4)
+    yield ideal_power(partial_cover_ideal(spider(1, 1, 2), 2), 3)
+
+
 class TestFieldWidthBoundaries:
+    def test_decomposition_slots(self):
+        widths = set()
+        for I in _slot_boundary_ideals():
+            top = 1 + max(map(max, I.gens))
+            widths.add(I.nvars * (top.bit_length() + 1) % 8)
+            assert irreducible_decomposition(I) == reference_decomposition(I), I
+        assert widths == set(range(8))
+        # `top` only marks absent variables, so any value above the
+        # largest exponent decomposes the same ideal: the large pools are
+        # decomposed at every boundary `top` from there on, and each
+        # result must hold every orbit once, by its canonical vector.
+        for I in _large_pool_ideals():
+            classes, reps = I._reps or ((), I.gens)
+            expected = reference_decomposition(I)
+            assert irreducible_decomposition(I) == expected, I
+            if not classes:
+                assert len(expected) > 64, I
+            least = 1 + max(map(max, reps))
+            for top in [t for t in _SLOT_TOPS if t >= least]:
+                found = _components(reps, I.nvars, top, classes)
+                vectors = [
+                    tuple(dict(c.bounds).get(i, top) for i in range(I.nvars))
+                    for c in expected
+                ]
+                assert len(set(found)) == len(found), (I, top)
+                assert list(_canonical_filter(found, classes)) == found, (I, top)
+                assert _close(found, classes) == sorted(vectors), (I, top)
+
     def test_minimalizer_slots(self):
         for vectors in _slot_boundary_vectors():
             ambient = tuple(f"x{i}" for i in range(len(vectors[0])))
@@ -825,6 +900,74 @@ def test_decomposition_round_trip(I):
         assert ideal_contains_ideal(part, I)
         acc = part if acc is None else ideal_intersection(acc, part)
     assert acc == I
+
+
+@st.composite
+def wide_ideals_strategy(draw):
+    """Ideals in 6 or 7 variables from 10-40 generators with exponents up
+    to 2, decomposed as dozens of components."""
+    nvars = draw(st.sampled_from((6, 7)))
+    small = st.tuples(*([st.integers(0, 2)] * nvars)).filter(any)
+    gens = draw(st.lists(small, min_size=10, max_size=40))
+    return minimalize(tuple(f"x{i}" for i in range(1, nvars + 1)), gens)
+
+
+# A generator of this ideal adds no new component, and a tightening lies
+# below another tightening of its step but below no kept component.
+_WIDE_EXAMPLE = minimalize(
+    tuple(f"x{i}" for i in range(1, 7)),
+    [
+        (2, 0, 0, 1, 0, 1),
+        (0, 0, 0, 2, 2, 0),
+        (2, 0, 0, 0, 2, 1),
+        (1, 1, 1, 2, 0, 0),
+        (1, 0, 1, 0, 1, 2),
+        (0, 2, 1, 1, 1, 0),
+        (0, 2, 1, 0, 2, 1),
+        (0, 2, 1, 0, 1, 2),
+        (0, 1, 2, 1, 1, 1),
+        (2, 1, 2, 1, 2, 0),
+    ],
+)
+
+
+def _step_kinds(I):
+    """Replay the decomposition's steps on plain vectors, adding the
+    generators of I in order: "none" names a step that adds no new
+    component, "new-only" one with a tightening that lies below another
+    tightening of the step but below no kept component."""
+    nvars = I.nvars
+    comps = [(1 + max(map(max, I.gens)),) * nvars]
+    kinds = set()
+
+    def below(c, others):
+        return any(c != d and all(map(operator.le, c, d)) for d in others)
+
+    for g in I.gens:
+        missed = [c for c in comps if all(g[i] < c[i] for i in support(g))]
+        kept = [c for c in comps if c not in missed]
+        new = {c[:i] + (g[i],) + c[i + 1 :] for c in missed for i in support(g)}
+        survivors = [c for c in new if not below(c, kept) and not below(c, new)]
+        if not survivors:
+            kinds.add("none")
+        if any(below(c, new) and not below(c, kept) for c in new):
+            kinds.add("new-only")
+        comps = kept + survivors
+    return kinds
+
+
+def test_wide_example_has_both_step_kinds():
+    assert len(_WIDE_EXAMPLE.gens) == 10
+    assert _step_kinds(_WIDE_EXAMPLE) == {"none", "new-only"}
+
+
+@settings(max_examples=30, deadline=None)
+@example(_WIDE_EXAMPLE)
+@given(wide_ideals_strategy())
+def test_wide_decomposition_matches_reference(I):
+    expected = reference_decomposition(I)
+    assert irreducible_decomposition(I) == expected
+    assert associated_primes(I) == {MonomialPrime(c.support) for c in expected}
 
 
 @given(ideals_strategy())
