@@ -5,6 +5,9 @@ One row per (tree, t): the certified stability index, the size of the
 stable set of associated primes, and whether every oracle power up to
 astab+1 matched the prediction.  Non-trees from the catalogue can be
 appended with --include-cycles to show the oracle-only path.
+
+Exits 0 when every row matches and 3 on a MISMATCH, a theorem that came
+out false, as `covertool` does; 1 stays for operational failures.
 """
 
 import argparse
@@ -52,7 +55,7 @@ def main():
         print(f"{name:<8} {t:>3} {astab!s:>6} {final:>13}  {verdict}")
     bad = [r for r in rows if r[4] == "MISMATCH"]
     print(f"\n{len(rows)} rows, {len(bad)} mismatches")
-    raise SystemExit(1 if bad else 0)
+    raise SystemExit(3 if bad else 0)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from .associated import (
     oracle_sweep,
     predict_ass_star,
     predict_ass_tree,
+    tail_contradicts_astab,
     verify_annihilator_divisibility,
 )
 from .covers import (

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .covers import partial_cover_ideal, star_generators
+from .covers import _check_positive, partial_cover_ideal, star_generators
 from .graphs import Graph, enumerate_induced_stars, star_graph
 from .monomials import (
     MonomialIdeal,
@@ -90,11 +90,6 @@ class WitnessCertificate:
         return self.not_in_power and self.colon_equals_prime
 
 
-def _check_positive(name: str, value: int):
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-
-
 def cover_ideal_checked(g: Graph, t: int) -> MonomialIdeal:
     """J_t(g), rejecting the unit-ideal case every Ass question excludes."""
     ideal = partial_cover_ideal(g, t)
@@ -141,28 +136,29 @@ def _full_prime_associated(sub: Graph, t: int, s: int) -> bool:
     return full in associated_primes(ideal_power(ideal, s))
 
 
+def _check_star_cell(n: int, t: int, s: int):
+    """Reject a (n, t, s) that names no power of J_t(K_{1,n})."""
+    _check_positive("n", n)
+    _check_positive("t", t)
+    _check_positive("s", s)
+    if t > n:
+        raise ValueError(f"t={t} exceeds the number of leaves n={n}")
+
+
 def max_ideal_in_ass_star(n: int, t: int, s: int) -> bool:
     """Whether <z, x1..xn> is associated to J_t(K_{1,n})^s.
 
     The criterion s(t-1) >= n-1 covers t=1 as well, where it reduces to
     n = 1.
     """
-    _check_positive("n", n)
-    _check_positive("t", t)
-    _check_positive("s", s)
-    if t > n:
-        raise ValueError(f"t={t} exceeds the number of leaves n={n}")
+    _check_star_cell(n, t, s)
     return s * (t - 1) >= n - 1
 
 
 def predict_ass_star(n: int, t: int, s: int) -> AssReport:
     """The closed-form Ass(J_t(K_{1,n})^s): primes <z, r leaves> for
     every r between t and min(n, s(t-1)+1)."""
-    _check_positive("n", n)
-    _check_positive("t", t)
-    _check_positive("s", s)
-    if t > n:
-        raise ValueError(f"t={t} exceeds the number of leaves n={n}")
+    _check_star_cell(n, t, s)
     ambient = star_graph(n).vertices
     rmax = min(n, s * (t - 1) + 1)
     primes = set()
@@ -204,6 +200,19 @@ def astab_tree(g: Graph, t: int) -> int:
     if t == 1:
         return 1
     return math.ceil((delta - 1) / (t - 1))
+
+
+def tail_contradicts_astab(tail: int | None, s_max: int, astab: int) -> bool:
+    """Whether an empirical tail start, observed up to s_max, contradicts
+    a proven stability index.
+
+    A tail that shows must start at astab.  Past astab the index says
+    Ass^{s_max-1} = Ass^{s_max}, so no tail at all is a contradiction
+    too; with s_max <= astab a missing tail is only undetermined.
+    """
+    if tail is None:
+        return s_max > astab
+    return tail != astab
 
 
 def empirical_astab(I: MonomialIdeal, s_max: int) -> StabilityReport:
@@ -286,9 +295,7 @@ def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:
     _check_positive("s", s)
     if t < 2:
         raise ValueError("the witness construction needs t >= 2")
-    if t > n:
-        raise ValueError(f"t={t} exceeds the number of leaves n={n}")
-    if s * (t - 1) < n - 1:
+    if not max_ideal_in_ass_star(n, t, s):
         raise ValueError(
             f"maximal ideal not associated at this power: "
             f"s(t-1) = {s * (t - 1)} < n-1 = {n - 1}"
@@ -328,11 +335,7 @@ def verify_annihilator_divisibility(
     to the maximal ideal); anything else would test the divisibility
     bound outside its hypotheses.
     """
-    _check_positive("n", n)
-    _check_positive("t", t)
-    _check_positive("s", s)
-    if t > n:
-        raise ValueError(f"t={t} exceeds the number of leaves n={n}")
+    _check_star_cell(n, t, s)
     J = star_generators(n, t)
     if len(T) != n + 1:
         raise ValueError("witness lives in the wrong number of variables")

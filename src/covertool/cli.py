@@ -20,9 +20,11 @@ from .associated import (
     ass_of_power,
     astab_tree,
     build_star_witness,
+    cover_ideal_checked,
     empirical_astab,
     oracle_sweep,
     predict_ass_tree,
+    tail_contradicts_astab,
 )
 from .covers import partial_cover_ideal
 from .graphs import Graph, Hypergraph, ParseError, parse_hypergraph, star_graph
@@ -81,6 +83,7 @@ def _check_variable_cap(count: int, force: bool):
 
 def _emit(args, payload: dict, lines: list[str]):
     if args.format == "json":
+        payload = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -95,12 +98,12 @@ def _primes_text(primes, ambient) -> str:
     return ", ".join(prime_str(p, ambient) for p in sorted_primes(primes))
 
 
-def _gens_text(ideal: MonomialIdeal) -> str:
-    return ", ".join(monomial_str(g, ideal.ambient) for g in ideal.gens)
-
-
 def _gens_json(ideal: MonomialIdeal) -> list[str]:
     return [monomial_str(g, ideal.ambient) for g in ideal.gens]
+
+
+def _gens_text(ideal: MonomialIdeal) -> str:
+    return ", ".join(_gens_json(ideal))
 
 
 def _cover_ideal(obj: Graph | Hypergraph, t: int) -> MonomialIdeal:
@@ -120,8 +123,6 @@ def cmd_ideal(args) -> int:
     ideal = _cover_ideal(obj, args.t)
     unit = ideal.is_unit
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "ideal",
         "t": args.t,
         "ambient": list(ideal.ambient),
         "generators": _gens_json(ideal),
@@ -149,12 +150,7 @@ def cmd_ass(args) -> int:
     obj = _load_input(args.file)
     _check_variable_cap(obj.n, args.force)
     _check_power_cap(args.s, "s", args.force)
-    payload: dict = {
-        "schema": SCHEMA_VERSION,
-        "command": "ass",
-        "t": args.t,
-        "s": args.s,
-    }
+    payload: dict = {"t": args.t, "s": args.s}
     lines: list[str] = []
     exit_code = OK
     if isinstance(obj, Graph):
@@ -204,19 +200,15 @@ def cmd_stability(args) -> int:
     obj = _load_input(args.file)
     _check_variable_cap(obj.n, args.force)
     _check_power_cap(args.smax, "smax", args.force)
-    ideal = _cover_ideal(obj, args.t)
-    if ideal.is_unit:
-        raise CommandError(
-            f"J_{args.t} of this graph is the unit ideal: "
-            "no constraints (t exceeds all degrees)"
-        )
-    is_tree = isinstance(obj, Graph) and obj.is_tree()
+    graph = isinstance(obj, Graph)
+    # A hypergraph file has an edge of three or more vertices, so only J_t
+    # of a graph can be the unit ideal.
+    ideal = cover_ideal_checked(obj, args.t) if graph else _cover_ideal(obj, args.t)
+    is_tree = graph and obj.is_tree()
     report = empirical_astab(ideal, args.smax)
     ambient = ideal.ambient
     exit_code = OK
     payload: dict = {
-        "schema": SCHEMA_VERSION,
-        "command": "stability",
         "t": args.t,
         "s_max": args.smax,
         "ambient": list(ambient),
@@ -244,7 +236,7 @@ def cmd_stability(args) -> int:
         payload["astab_certified"] = True
         payload["astab_empirical"] = report.astab_value
         lines.append(f"astab: {certified} (certified)")
-        if report.astab_value is not None and report.astab_value != certified:
+        if tail_contradicts_astab(report.astab_value, args.smax, certified):
             lines.append(
                 f"MISMATCH at t={args.t}: empirical tail starts at "
                 f"s={report.astab_value}, formula says s={certified}"
@@ -278,8 +270,6 @@ def cmd_witness(args) -> int:
     passes = cert.valid
     divides = passes and cert.annihilator_divides
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "witness",
         "n": args.n,
         "t": args.t,
         "s": args.s,
@@ -314,8 +304,6 @@ def cmd_gap(args) -> int:
         raise CommandError(f"cap exceeded: m={args.m} (override with --force)")
     report = verify_gap(args.m, s_max=args.smax)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "gap",
         "m": report.m,
         "chi": report.chi,
         "astab": report.astab,
@@ -345,7 +333,7 @@ def cmd_gap(args) -> int:
             f"MISMATCH at m={report.m}: cover ideal differs from the star "
             "closed form"
         )
-    if report.oracle_astab != report.astab and not report.tail_undetermined:
+    if tail_contradicts_astab(report.oracle_astab, report.s_max, report.astab):
         lines.append(
             f"MISMATCH at m={report.m}: oracle tail starts at "
             f"s={report.oracle_astab}, formula says s={report.astab}"
@@ -404,8 +392,6 @@ def cmd_sweep(args) -> int:
             cells.append(cell)
             lines.append(line)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "sweep",
         "ambient": list(obj.vertices),
         "tree": is_tree,
         "cells": cells,

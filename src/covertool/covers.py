@@ -25,9 +25,9 @@ from .monomials import (
 )
 
 
-def _check_t(t: int):
-    if t < 1:
-        raise ValueError(f"t must be a positive integer, got {t}")
+def _check_positive(name: str, value: int):
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 def is_partial_cover(g: Graph, t: int, cover) -> bool:
@@ -35,7 +35,7 @@ def is_partial_cover(g: Graph, t: int, cover) -> bool:
 
     Vertices of degree below t satisfy the condition vacuously.
     """
-    _check_t(t)
+    _check_positive("t", t)
     members = set(cover)
     unknown = members - set(g.vertices)
     if unknown:
@@ -51,7 +51,7 @@ def is_partial_cover(g: Graph, t: int, cover) -> bool:
 
 def enumerate_minimal_partial_covers(g: Graph, t: int) -> list[tuple[str, ...]]:
     """All inclusion-minimal partial t-covers, in (size, vertex index) order."""
-    _check_t(t)
+    _check_positive("t", t)
     found: list[set[str]] = []
     for size in range(g.n + 1):
         for combo in itertools.combinations(g.vertices, size):
@@ -68,7 +68,7 @@ def enumerate_minimal_partial_covers(g: Graph, t: int) -> list[tuple[str, ...]]:
 def _star_products(g: Graph, t: int) -> MonomialIdeal:
     """x*x_S for every vertex x and t-subset S of N(x), minimalized; the
     zero ideal when no vertex has degree at least t."""
-    _check_t(t)
+    _check_positive("t", t)
     return minimalize(
         g.vertices,
         [
@@ -95,7 +95,7 @@ def star_generators(n: int, t: int) -> MonomialIdeal:
     Ambient is (z, x1, ..., xn) with z the centre; the generators are z
     together with every product of n-t+1 distinct leaf variables.
     """
-    _check_t(t)
+    _check_positive("t", t)
     if n < 1:
         raise ValueError(f"a star needs at least one leaf, got n={n}")
     if t > n:
@@ -152,7 +152,7 @@ def classify_tree_generators(g: Graph, t: int) -> TreeGeneratorReport:
     ask for a negative number of y-divisors and the frame says nothing.
     A generator fitting no form raises, since none should exist.
     """
-    _check_t(t)
+    _check_positive("t", t)
     if not g.is_tree():
         raise ValueError("generator classification is defined for trees only")
     special = find_special_vertex(g)

@@ -652,8 +652,8 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
 
 def _decompose(I: MonomialIdeal):
     """The classes of I, `top` and the canonical component vectors, one
-    per orbit: the one decomposition behind irreducible_decomposition
-    and associated_primes.
+    per orbit: the one decomposition behind irreducible_decomposition,
+    associated_primes and alexander_dual.
 
     A power starts from the classes and canonical generators it holds.
     Finding the classes and holding orbits has a fixed cost per call
@@ -689,21 +689,27 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
     return tuple(IrreducibleComponent(c) for c in ordered)
 
 
-def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """Ass(I): the supports of the irredundant irreducible components.
+def _supports(I: MonomialIdeal) -> list[tuple[int, ...]]:
+    """The distinct supports of the irredundant irreducible components of
+    a proper nonzero I, as 0/1 vectors.
 
     Only the supports of the canonical components are expanded.  Within
     a class a canonical vector lists its absent variables, marked `top`,
     first, so supports in one orbit are equal there and each orbit of
     supports is expanded once.
     """
-    if I.is_zero or I.is_unit:
-        raise ValueError("associated primes are computed for proper nonzero ideals")
     classes, top, vecs = _decompose(I)
     supports = {tuple(int(e != top) for e in v) for v in vecs}
+    return _orbits(list(supports), classes)
+
+
+def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
+    """Ass(I): the supports of the irredundant irreducible components."""
+    if I.is_zero or I.is_unit:
+        raise ValueError("associated primes are computed for proper nonzero ideals")
     return frozenset(
         MonomialPrime(frozenset(i for i, x in enumerate(s) if x))
-        for s in _orbits(list(supports), classes)
+        for s in _supports(I)
     )
 
 
@@ -749,11 +755,7 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
         return zero_ideal(I.ambient)
     if I.is_zero:
         return unit_ideal(I.ambient)
-    n = I.nvars
-    return minimalize(
-        I.ambient,
-        [support_vector(c.support, n) for c in irreducible_decomposition(I)],
-    )
+    return minimalize(I.ambient, _supports(I))
 
 
 # Serialization: `x1^2*x3` style, exponent 1 elided, `1` for the empty

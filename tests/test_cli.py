@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from covertool import cli
+from covertool import cli, hypercovers
 from covertool.cli import main
-from covertool.monomials import sorted_primes
+from covertool.monomials import MonomialPrime, sorted_primes
 
 P4 = "vertices: x1 x2 x3 x4\nedge: x1 x2\nedge: x2 x3\nedge: x3 x4\n"
 STAR3 = "vertices: z x1 x2 x3\nedge: z x1\nedge: z x2\nedge: z x3\n"
@@ -475,6 +475,38 @@ class TestIntegrityFailures:
         assert (
             "persistence: VIOLATED at t=2 s=1 (Ass^1 not within the next power)"
             in out.splitlines()
+        )
+
+    def test_stability_missing_tail_past_astab(
+        self, graph_file, capsys, monkeypatch
+    ):
+        # The last power gains a prime: no tail shows up to s_max = 4,
+        # past the proven astab = 3, while persistence still holds.
+        check = cli.empirical_astab
+
+        def broken(ideal, s_max):
+            report = check(ideal, s_max)
+            *head, last = report.per_power
+            gained = last | {MonomialPrime(frozenset({1}))}
+            return dataclasses.replace(
+                report, per_power=(*head, gained), astab_value=None
+            )
+
+        monkeypatch.setattr(cli, "empirical_astab", broken)
+        code, out, _ = run(
+            capsys, "stability", "--t", "2", "--smax", "4", graph_file(STAR4)
+        )
+        assert code == 3
+        assert "persistence: OK" in out.splitlines()
+        assert out.splitlines()[-1] == (
+            "MISMATCH at t=2: empirical tail starts at s=None, formula says s=3"
+        )
+        # gap decides the same tail by the same rule.
+        monkeypatch.setattr(hypercovers, "empirical_astab", broken)
+        code, out, _ = run(capsys, "gap", "--m", "1")
+        assert code == 3
+        assert out.splitlines()[-1] == (
+            "MISMATCH at m=1: oracle tail starts at s=None, formula says s=2"
         )
 
     def test_witness_fails(self, capsys, monkeypatch):

@@ -4,10 +4,11 @@ from dataclasses import replace
 import pytest
 from transversals import edge_ideal, reference_dual
 
+from covertool.associated import predict_ass_star, tail_contradicts_astab
 from covertool.catalog import hypergraph_corpus
 from covertool.cli import GAP_FAMILY_CAP
-from covertool.covers import star_generators
-from covertool.graphs import Hypergraph
+from covertool.covers import partial_cover_ideal, star_generators
+from covertool.graphs import Hypergraph, path_graph
 from covertool.hypercovers import (
     build_gap_family,
     chromatic_number,
@@ -165,6 +166,38 @@ class TestVerifyGap:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             verify_gap(0)
+
+    @pytest.mark.parametrize(
+        "tail, s_max, astab, contradicts",
+        [
+            (None, 2, 3, False),  # too short to show a tail
+            (None, 3, 3, False),
+            (None, 4, 3, True),  # past astab a tail must show
+            (2, 4, 3, True),  # earlier than proven
+            (4, 6, 3, True),  # later than proven
+            (3, 4, 3, False),
+            (3, 6, 3, False),
+        ],
+    )
+    def test_tail_verdict_table(self, tail, s_max, astab, contradicts):
+        assert tail_contradicts_astab(tail, s_max, astab) is contradicts
+        report = replace(verify_gap(1), oracle_astab=tail, s_max=s_max, astab=astab)
+        assert report.refuted is contradicts
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: partial_cover_ideal(path_graph(3), 0), "t"),
+        (lambda: build_gap_family(0), "m"),
+        (lambda: verify_gap(0), "m"),
+        (lambda: predict_ass_star(0, 1, 1), "n"),
+    ],
+)
+def test_positive_parameter_wording(call, name):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"{name} must be a positive integer, got 0"
 
 
 def test_baseline_bound_across_corpus():

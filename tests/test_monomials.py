@@ -791,6 +791,18 @@ class TestAlexanderDual:
                 assert alexander_dual(cover) == reference_dual(cover), (name, t)
                 assert alexander_dual(edges) == reference_dual(edges), (name, t)
 
+    @pytest.mark.parametrize("n, t", [(9, 4), (10, 4), (10, 5)])
+    def test_orbit_path_matches_transversal_reference(self, n, t):
+        # At least 64 generators in interchangeable leaves: the dual is
+        # read off a decomposition on orbit representatives.
+        leaves = tuple(range(1, n + 1))
+        for I in (star_generators(n, t), generalized_edge_ideal(star_graph(n), t)):
+            assert len(I.gens) >= 64
+            assert classes_of_gens(I.gens, I.nvars) == (leaves,)
+            dual = alexander_dual(I)
+            assert dual == reference_dual(I)
+            assert alexander_dual(dual) == I
+
 
 # Randomized law checks.  Everything is small (4 variables, up to 7
 # generators, exponents up to 3) so the laws are exercised across many

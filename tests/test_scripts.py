@@ -5,12 +5,22 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from covertool.graphs import path_graph, star_graph
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_star_table_runs():
@@ -34,23 +44,33 @@ def test_star_table_runs():
 
 
 def test_tree_survey_matches_on_small_trees():
-    spec = importlib.util.spec_from_file_location(
-        "tree_survey", SCRIPTS / "tree_survey.py"
-    )
-    tree_survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tree_survey)
+    tree_survey = load_script("tree_survey")
     for name, g in (("P4", path_graph(4)), ("K1_3", star_graph(3))):
         rows = tree_survey.survey_tree(name, g)
         assert len(rows) == g.max_degree()
         assert all(row[4] == "MATCH" for row in rows), rows
 
 
-def test_cli_digest_on_a_subset(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "cli_digest", SCRIPTS / "cli_digest.py"
+def test_tree_survey_mismatch_exits_3(monkeypatch, capsys):
+    tree_survey = load_script("tree_survey")
+    predict = tree_survey.predict_ass_tree
+    monkeypatch.setattr(
+        tree_survey,
+        "predict_ass_tree",
+        lambda *a: replace(predict(*a), primes=frozenset()),
     )
-    cli_digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_digest)
+    monkeypatch.setattr(
+        tree_survey, "acceptance_trees", lambda: [("P4", path_graph(4))]
+    )
+    monkeypatch.setattr(sys, "argv", ["tree_survey.py"])
+    with pytest.raises(SystemExit) as info:
+        tree_survey.main()
+    assert info.value.code == 3
+    assert capsys.readouterr().out.endswith("2 rows, 2 mismatches\n")
+
+
+def test_cli_digest_on_a_subset(tmp_path, monkeypatch):
+    cli_digest = load_script("cli_digest")
     assert len(cli_digest.witness_commands()) == 308
     cli_digest.write_corpus(tmp_path)
     monkeypatch.chdir(tmp_path)
