@@ -13,7 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .covers import _check_positive, partial_cover_ideal, star_generators
+from .covers import (
+    _check_positive,
+    _check_star,
+    partial_cover_ideal,
+    star_generators,
+)
 from .graphs import Graph, enumerate_induced_stars, star_graph
 from .monomials import (
     MonomialIdeal,
@@ -138,11 +143,8 @@ def _full_prime_associated(sub: Graph, t: int, s: int) -> bool:
 
 def _check_star_cell(n: int, t: int, s: int):
     """Reject a (n, t, s) that names no power of J_t(K_{1,n})."""
-    _check_positive("n", n)
-    _check_positive("t", t)
+    _check_star(n, t)
     _check_positive("s", s)
-    if t > n:
-        raise ValueError(f"t={t} exceeds the number of leaves n={n}")
 
 
 def max_ideal_in_ass_star(n: int, t: int, s: int) -> bool:

@@ -30,6 +30,14 @@ def _check_positive(name: str, value: int):
         raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
+def _check_star(n: int, t: int):
+    """Reject an (n, t) that names no J_t(K_{1,n})."""
+    _check_positive("n", n)
+    _check_positive("t", t)
+    if t > n:
+        raise ValueError(f"t={t} exceeds the number of leaves n={n}")
+
+
 def is_partial_cover(g: Graph, t: int, cover) -> bool:
     """Whether every vertex is in the set or has at most t-1 neighbours outside.
 
@@ -95,11 +103,7 @@ def star_generators(n: int, t: int) -> MonomialIdeal:
     Ambient is (z, x1, ..., xn) with z the centre; the generators are z
     together with every product of n-t+1 distinct leaf variables.
     """
-    _check_positive("t", t)
-    if n < 1:
-        raise ValueError(f"a star needs at least one leaf, got n={n}")
-    if t > n:
-        raise ValueError(f"t={t} exceeds the number of leaves n={n}")
+    _check_star(n, t)
     ambient = star_graph(n).vertices
     nv = n + 1
     gens = [support_vector((0,), nv)]

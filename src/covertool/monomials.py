@@ -484,9 +484,6 @@ class _SortedFields(dict):
         return ordered
 
 
-_ORBIT_MIN_GENS = 64  # see _decompose
-
-
 # Inside the decomposition, an irreducible component <x_i^{e_i}> is a
 # full-length exponent vector in which `top`, one more than the largest
 # exponent of the ideal, marks an absent variable.  A component C
@@ -650,26 +647,130 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
     ]
 
 
+_STAIRCASE_MAX_BITS = 1 << 18  # see _decompose
+
+
+def _radices(reps, classes) -> list[int]:
+    """One more than each variable's largest exponent over the orbits of
+    reps: for every variable of a class, its class's largest entry,
+    which a canonical vector holds first."""
+    radix = [1 + x for x in map(max, zip(*reps))]
+    for cls in classes:
+        for i in cls[1:]:
+            radix[i] = radix[cls[0]]
+    return radix
+
+
+def _tile(block: int, period: int, size: int) -> int:
+    """The pattern `block` of `period` bits repeated over `size` bits."""
+    while period < size:
+        block |= block << period
+        period <<= 1
+    return block & ((1 << size) - 1)
+
+
+def _staircase(reps, classes, top) -> list[tuple[int, ...]]:
+    """The canonical component vectors that `_components` returns, read
+    off the staircase of the ideal in its exponent box.
+
+    The box holds the points x with 0 <= x_i < radix_i (see `_radices`),
+    one bit each in one int, at sum x_i * stride_i in mixed radix.  U,
+    the points of the ideal, is the upward closure of the points of
+    reps, one shift along each axis by 1, 2, 4, ... steps; the rest of
+    the box is the staircase of standard monomials.  Its corners, the
+    standard x with x + e_i in U or x_i = radix_i - 1 for every i, are
+    the maximal standard monomials, and the irreducible components are
+    <x_i^(x_i + 1) : x_i < radix_i - 1> over the corners (Miller and
+    Sturmfels, Combinatorial Commutative Algebra, ch. 5).
+
+    Only canonical corners are kept, those whose entries do not increase
+    within a class.  On a canonical x, U built from the canonical reps
+    alone is exact (see `_classes`).  So is it on x + e_i unless x_i
+    equals the entry before it in its class, where that test is skipped:
+    x + e_i is then an image of x + e_j, with j where the run of equal
+    entries starts, and x + e_j is canonical and tested.
+    """
+    radix = _radices(reps, classes)
+    stride = list(itertools.accumulate(radix, operator.mul, initial=1))
+    size = stride.pop()
+    # A 1 at the first point of every period of each axis, where the
+    # variable and all before it are 0.
+    starts = [_tile(1, period, size) for period in stride[1:] + [size]]
+
+    def rows(i, lo, hi):
+        # The points with lo <= x_i < hi.
+        return (starts[i] << hi * stride[i]) - (starts[i] << lo * stride[i])
+
+    points = bytearray(size // 8 + 1)
+    for r in reps:
+        at = sum(map(operator.mul, r, stride))
+        points[at >> 3] |= 1 << (at & 7)
+    U = int.from_bytes(points, "little")
+    for i, r in enumerate(radix):
+        step = 1
+        while step < r:
+            U |= (U & rows(i, 0, r - step)) << step * stride[i]
+            step <<= 1
+    corners = ((1 << size) - 1) ^ U
+    before = {i: p for cls in classes for p, i in zip(cls, cls[1:])}
+    for i, r in enumerate(radix):
+        if r == 1:
+            continue
+        up = rows(i, r - 1, r) | U >> stride[i]
+        if i in before:
+            # x_p against x_i on one period of axis i, then tiled.
+            p, s = before[i], stride[i]
+            low = starts[p] & ((1 << s) - 1)
+            eq = gt = 0
+            for v in range(r):
+                eq |= ((low << (v + 1) * stride[p]) - (low << v * stride[p])) << v * s
+                gt |= ((low << r * stride[p]) - (low << (v + 1) * stride[p])) << v * s
+            up = up & _tile(gt, r * s, size) | _tile(eq, r * s, size)
+        corners &= up
+    data = corners.to_bytes(-(-size // 64) * 8, "little")
+    found = []
+    for at in itertools.compress(range(0, len(data), 8), memoryview(data).cast("Q")):
+        word = int.from_bytes(data[at : at + 8], "little")
+        while word:
+            bit = word & -word
+            word ^= bit
+            found.append(8 * at + bit.bit_length() - 1)
+    columns = []
+    for r in radix:
+        entry = [*range(1, r), top]
+        columns.append([entry[x % r] for x in found])
+        found = [x // r for x in found]
+    return list(zip(*columns))
+
+
 def _decompose(I: MonomialIdeal):
     """The classes of I, `top` and the canonical component vectors, one
     per orbit: the one decomposition behind irreducible_decomposition,
     associated_primes and alexander_dual.
 
     A power starts from the classes and canonical generators it holds.
-    Finding the classes and holding orbits has a fixed cost per call
-    that only larger ideals repay.  Timed on the `tree_sweep` benchmark
-    commands and on every tree with 7 to 9 vertices, any threshold from
-    8 to 96 generators came within 8% of the best, and 128 to 512 took
-    up to 1.75 times as long on 7 vertices, so ideals with fewer than
-    64, counted from the orbits they hold, are decomposed generator by
-    generator.
+    Boxes of at most `_STAIRCASE_MAX_BITS` points are read off the
+    staircase.  Its cost barely grows with the generators, so an ideal
+    that holds no classes is read as it is: on the 240 such ideals of a
+    `tree_sweep` batch, finding their classes first took 24 ms against
+    13-15 ms.  Larger boxes go to the incremental loop, for which such
+    an ideal first finds its classes.
+
+    Both kernels were timed on 161 cells, powers 2 to 4 of J_2 and J_3
+    of 7 or 8 trees on each of 8, 9 and 10 vertices and powers 2 to 5
+    of stars K_{1,6} to K_{1,10}.  The staircase was faster on all 99 boxes of at most 2^17
+    points, on 11 of the 14 in (2^17, 2^18] and on 19 of the 21 in
+    (2^18, 2^19].  There t = 2 star cells, whose few orbits keep the
+    incremental loop short, lost by up to 1.35 times; above 2^19 cells
+    lost by up to 25 times.  Every tree on 10 vertices took as long
+    with the limit at 2^18, 2^19 or 2^20.
     """
     classes, reps = I._reps or ((), I.gens)
-    if _orbit_members(reps, classes) < _ORBIT_MIN_GENS:
-        classes, reps = (), _orbits(reps, classes)
-    else:
-        classes, reps = _held_reps(I)
-    top = 1 + max(map(max, reps))
+    radix = _radices(reps, classes)
+    top = max(radix)
+    if math.prod(radix) <= _STAIRCASE_MAX_BITS:
+        return classes, top, _staircase(reps, classes, top)
+    classes, reps = _held_reps(I)
     return classes, top, _components(reps, I.nvars, top, classes)
 
 

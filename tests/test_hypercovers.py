@@ -192,6 +192,7 @@ class TestVerifyGap:
         (lambda: build_gap_family(0), "m"),
         (lambda: verify_gap(0), "m"),
         (lambda: predict_ass_star(0, 1, 1), "n"),
+        pytest.param(lambda: star_generators(0, 1), "n", id="star_generators-n"),
     ],
 )
 def test_positive_parameter_wording(call, name):

@@ -6,6 +6,7 @@ so they are independent of the code under test.
 """
 
 import itertools
+import math
 import operator
 import random
 
@@ -22,6 +23,7 @@ from minimalizers import (
 )
 from transversals import edge_ideal, reference_dual
 
+from covertool import monomials
 from covertool.associated import astab_tree, build_star_witness
 from covertool.catalog import graph_corpus, hypergraph_corpus
 from covertool.covers import (
@@ -462,9 +464,8 @@ def _canonical_filter(vectors, classes):
 
 def _orbits_agree(I, components):
     """Whether the component vectors of I computed on orbit
-    representatives, which the decomposition skips for ideals with few
-    generators, are one canonical vector per orbit and expand to exactly
-    the given components."""
+    representatives by the incremental loop are one canonical vector per
+    orbit and expand to exactly the given components."""
     gens = I.gens
     classes = classes_of_gens(gens, I.nvars)
     top = 1 + max(map(max, gens))
@@ -980,6 +981,109 @@ def test_wide_decomposition_matches_reference(I):
     expected = reference_decomposition(I)
     assert irreducible_decomposition(I) == expected
     assert associated_primes(I) == {MonomialPrime(c.support) for c in expected}
+
+
+def _kernels_agree(I):
+    """Both decomposition kernels on the classes and representatives I
+    holds, or finds from its generators: the staircase returns each
+    canonical component vector once, the same set as the incremental
+    loop, and their orbits are the reference decomposition.  Returns
+    the classes, representatives and staircase vectors."""
+    classes, reps = monomials._held_reps(I)
+    top = 1 + max(map(max, reps))
+    stair = monomials._staircase(reps, classes, top)
+    expected = [
+        tuple(dict(c.bounds).get(i, top) for i in range(I.nvars))
+        for c in reference_decomposition(I)
+    ]
+    assert len(set(stair)) == len(stair), I
+    assert set(stair) == set(_components(reps, I.nvars, top, classes)), I
+    assert set(_canonical_filter(stair, classes)) == set(stair), I
+    assert _close(stair, classes) == sorted(expected), I
+    return classes, reps, stair
+
+
+@settings(max_examples=30, deadline=None)
+@example((_WIDE_EXAMPLE, []))
+@given(
+    st.one_of(
+        symmetric_ideals_strategy(),
+        wide_ideals_strategy().map(lambda I: (I, [])),
+    )
+)
+def test_staircase_matches_incremental_and_reference(case):
+    I, _ = case
+    for power in (I, ideal_power(I, 2)):
+        _kernels_agree(power)
+
+
+class TestStaircaseKernel:
+    def test_radix_is_the_class_maximum(self):
+        # The later leaves' columns of the held representatives have
+        # smaller maxima than the first leaf's; a box read off the
+        # columns would cut the orbits off.
+        power = ideal_power(star_generators(4, 2), 3)
+        classes, reps, _ = _kernels_agree(power)
+        first, *rest = classes[0]
+        columns = list(zip(*reps))
+        assert any(max(columns[i]) < max(columns[first]) for i in rest)
+        assert monomials._radices(reps, classes)[rest[-1]] == 1 + max(columns[first])
+
+    def test_variable_in_no_generator(self):
+        I = minimalize(("a", "b", "c", "d"), [(1, 0, 2, 0), (2, 0, 1, 1), (0, 0, 3, 2)])
+        _, reps, stair = _kernels_agree(I)
+        assert monomials._radices(reps, ())[1] == 1
+        top = 1 + max(map(max, reps))
+        assert all(v[1] == top for v in stair)
+
+    def test_single_generator(self):
+        I = minimalize(("a", "b", "c", "d"), [(2, 1, 0, 3)])
+        _, _, stair = _kernels_agree(I)
+        assert sorted(stair) == [(2, 4, 4, 4), (4, 1, 4, 4), (4, 4, 4, 3)]
+
+    def test_runs_of_equal_entries_in_large_classes(self):
+        # Corners with equal entries inside a class of five leaves, where
+        # the x + e_i test is skipped and read at the start of the run.
+        for n, t, s in [(5, 3, 2), (5, 2, 3), (6, 4, 2)]:
+            power = ideal_power(star_generators(n, t), s)
+            classes, _, stair = _kernels_agree(power)
+            leaves = max(classes, key=len)
+            assert len(leaves) >= 3
+            top = 1 + max(map(max, power._reps[1]))
+            assert any(
+                v[i] == v[j] < top for v in stair for i, j in zip(leaves, leaves[1:])
+            ), (n, t, s)
+
+    def test_gate_at_the_box_limit(self, monkeypatch):
+        # Boxes of 64^3 points, exactly the limit, and 5 * 13 * 37 * 109,
+        # one more.
+        limit = monomials._STAIRCASE_MAX_BITS
+        at_limit = minimalize(
+            ("a", "b", "c"), [(63, 0, 0), (0, 63, 0), (0, 0, 63), (20, 30, 10)]
+        )
+        above = minimalize(
+            ("a", "b", "c", "d"),
+            [(4, 0, 0, 0), (0, 12, 0, 0), (0, 0, 36, 0), (0, 0, 0, 108)]
+            + [(2, 6, 18, 54)],
+        )
+        picked = []
+        for name in ("_staircase", "_components"):
+            kernel = getattr(monomials, name)
+            monkeypatch.setattr(
+                monomials,
+                name,
+                lambda *args, name=name, kernel=kernel: picked.append(name)
+                or kernel(*args),
+            )
+        for I, box, kernel in [
+            (at_limit, limit, "_staircase"),
+            (above, limit + 1, "_components"),
+        ]:
+            assert math.prod(1 + max(column) for column in zip(*I.gens)) == box
+            picked.clear()
+            monomials._decompose(I)
+            assert picked == [kernel], I
+            _kernels_agree(I)
 
 
 @given(ideals_strategy())
