@@ -12,12 +12,17 @@ subcommand, in text and in JSON:
   `stability --smax 3`, `ass --s 2` and `sweep --smax 2`;
 - `gap --m` for m = 1..3, with the default power range and with
   `--smax` 1, m+1 and m+2;
-- `witness` for n = 0..7, t = 0..n+1 and s = 0..6.
+- `witness` for n = 0..7, t = 0..n+1 and s = 0..6;
+- a `usage` group, run once each: help at the root and for every
+  subcommand, no arguments, an unknown or misspelled subcommand, and
+  usage errors (bad int, bad choice, missing option, extra argument),
+  plus a missing file.  Help is wrapped at COLUMNS=80 on any terminal.
 
-The script prints one line per subcommand: the number of commands, how
-many ended with each exit code, and a SHA-256 over the (argv, exit
-code, stdout, stderr) of its commands in order.  Two checkouts print the
-same lines exactly when their CLI output is byte-identical on the list:
+That is 1,809 commands.  The script prints one line per group (each
+subcommand, then `usage`): the number of commands, how many ended with
+each exit code, and a SHA-256 over the (argv, exit code, stdout,
+stderr) of its commands in order.  Two checkouts print the same lines
+exactly when their CLI output is byte-identical on the list:
 
     PYTHONPATH=src python scripts/cli_digest.py > after.txt
 
@@ -39,6 +44,8 @@ from covertool.catalog import graph_corpus, hypergraph_corpus
 from covertool.graphs import graph_to_text, hypergraph_to_text
 
 FORMATS = (("--format", "text"), ("--format", "json"))
+# Spelled out, not read from cli, so the script runs on any checkout.
+SUBCOMMANDS = ("ideal", "ass", "stability", "witness", "gap", "sweep")
 
 
 def write_corpus(directory):
@@ -93,15 +100,38 @@ def witness_commands():
     ]
 
 
+def usage_commands():
+    """Help texts (exit 0), usage errors (exit 2) and a missing file."""
+    path = "P4.txt"
+    return [
+        [],
+        ["-h"],
+        ["--help"],
+        *([sub, "-h"] for sub in SUBCOMMANDS),
+        ["frobnicate", path],
+        ["swee", path],
+        ["--", "sweep", path],
+        ["ideal", "--t", "x", path],
+        ["ass", "--s", "1", "--format", "xml", path],
+        ["ass", path],
+        ["witness", "--n", "3", "--t", "2"],
+        ["ideal", "missing.txt"],
+        ["ideal", path, "extra"],
+        ["gap", "--m", "1", "extra"],
+    ]
+
+
 def command_list():
-    """The fixed commands, each once in text and once in JSON."""
+    """(group, argv) of the fixed commands: each subcommand's once in
+    text and once in JSON, under its own name, then the `usage` group."""
     commands = []
     for name, g in graph_corpus():
         commands += graph_commands(name, g)
     for name, _ in hypergraph_corpus():
         commands += hypergraph_commands(name)
     commands += gap_commands() + witness_commands()
-    return [argv + list(fmt) for argv in commands for fmt in FORMATS]
+    grouped = [(argv[0], argv + list(fmt)) for argv in commands for fmt in FORMATS]
+    return grouped + [("usage", argv) for argv in usage_commands()]
 
 
 def run_command(argv):
@@ -118,22 +148,22 @@ def run_command(argv):
 
 
 def digests(commands):
-    """{subcommand: (count, exit-code counts, SHA-256)} over `commands`,
-    in the order the subcommands first appear."""
+    """{group: (count, exit-code counts, SHA-256)} over the (group, argv)
+    pairs `commands`, in the order the groups first appear."""
     hashes, codes = {}, {}
-    for argv in commands:
+    for group, argv in commands:
         code, out, err = run_command(argv)
-        sub = argv[0]
         record = json.dumps([argv, code, out, err]) + "\n"
-        hashes.setdefault(sub, hashlib.sha256()).update(record.encode("utf-8"))
-        codes.setdefault(sub, Counter())[code] += 1
+        hashes.setdefault(group, hashlib.sha256()).update(record.encode("utf-8"))
+        codes.setdefault(group, Counter())[code] += 1
     return {
-        sub: (sum(codes[sub].values()), codes[sub], hashes[sub].hexdigest())
-        for sub in hashes
+        group: (sum(codes[group].values()), codes[group], hashes[group].hexdigest())
+        for group in hashes
     }
 
 
 def main():
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
         write_corpus(directory)

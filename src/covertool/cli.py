@@ -404,85 +404,79 @@ def cmd_sweep(args) -> int:
     return INTEGRITY_ERROR if mismatch else OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FILE = ("file", {"help": "graph or hypergraph text file"})
+_FORCE = "override the desk-scale caps on powers and variables"
+_COMMON = (
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+    ("--force", {"action": "store_true", "help": _FORCE}),
+)
+
+# name -> (help, handler, arguments before --format and --force)
+_SUBCOMMANDS = {
+    "ideal": ("print the minimal generators of J_t", cmd_ideal, (
+        ("--t", {"type": int, "default": 1}),
+        ("--dual", {"action": "store_true", "help": "also print the Alexander dual"}),
+        _FILE,
+    )),
+    "ass": ("associated primes of J_t^s", cmd_ass, (
+        ("--t", {"type": int, "default": 1}),
+        ("--s", {"type": int, "required": True}),
+        ("--mode", {"choices": ("direct", "localized", "both"), "default": "direct"}),
+        (
+            "--predict",
+            {"action": "store_true", "help": "compare against the tree closed form"},
+        ),
+        _FILE,
+    )),
+    "stability": ("per-power Ass, persistence, and the tail index", cmd_stability, (
+        ("--t", {"type": int, "default": 1}),
+        ("--smax", {"type": int, "required": True}),
+        _FILE,
+    )),
+    "witness": ("explicit maximal-ideal witness for a star", cmd_witness, (
+        ("--n", {"type": int, "required": True}),
+        ("--t", {"type": int, "required": True}),
+        ("--s", {"type": int, "required": True}),
+    )),
+    "gap": ("chromatic gap verification for H_m", cmd_gap, (
+        ("--m", {"type": int, "required": True}),
+        ("--smax", {"type": int, "default": None}),
+    )),
+    "sweep": ("oracle (and prediction, on trees) across a (t, s) grid", cmd_sweep, (
+        ("--t", {"type": int, "default": None, "help": "restrict to one t"}),
+        ("--smax", {"type": int, "default": None, "help": "uniform power range cap"}),
+        _FILE,
+    )),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only `command`, whose
+    usage line still names all six, so a root-level error (an extra
+    argument) reads as the full parser's would."""
     parser = argparse.ArgumentParser(
         prog="covertool",
         description="Partial t-cover ideals: construction, associated primes, "
         "stability, witnesses, and the hypergraph chromatic gap.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, file=True):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--force",
-            action="store_true",
-            help="override the desk-scale caps on powers and variables",
-        )
-        if file:
-            p.add_argument("file", help="graph or hypergraph text file")
-
-    p = sub.add_parser("ideal", help="print the minimal generators of J_t")
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument(
-        "--dual", action="store_true", help="also print the Alexander dual"
-    )
-    common(p)
-    p.set_defaults(handler=cmd_ideal)
-
-    p = sub.add_parser("ass", help="associated primes of J_t^s")
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument(
-        "--mode", choices=("direct", "localized", "both"), default="direct"
-    )
-    p.add_argument(
-        "--predict",
-        action="store_true",
-        help="compare against the tree closed form",
-    )
-    common(p)
-    p.set_defaults(handler=cmd_ass)
-
-    p = sub.add_parser(
-        "stability", help="per-power Ass, persistence, and the tail index"
-    )
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--smax", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=cmd_stability)
-
-    p = sub.add_parser(
-        "witness", help="explicit maximal-ideal witness for a star"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    common(p, file=False)
-    p.set_defaults(handler=cmd_witness)
-
-    p = sub.add_parser("gap", help="chromatic gap verification for H_m")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--smax", type=int, default=None)
-    common(p, file=False)
-    p.set_defaults(handler=cmd_gap)
-
-    p = sub.add_parser(
-        "sweep", help="oracle (and prediction, on trees) across a (t, s) grid"
-    )
-    p.add_argument("--t", type=int, default=None, help="restrict to one t")
-    p.add_argument(
-        "--smax", type=int, default=None, help="uniform power range cap"
-    )
-    common(p)
-    p.set_defaults(handler=cmd_sweep)
-
+    # Unset on the full parser, whose missing-subcommand error says `command`.
+    names = None if command is None else "{%s}" % ",".join(_SUBCOMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (help_text, handler, arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in (*arguments, *_COMMON):
+                p.add_argument(flag, **options)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The root parser has no options of its own, so a subcommand name
+    # first is the subcommand; anything else needs the full parser.
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except (CommandError, ValueError) as exc:

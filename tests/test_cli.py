@@ -5,6 +5,7 @@ captured output, so the full argument-parsing and rendering path is
 exercised without spawning subprocesses.
 """
 
+import argparse
 import dataclasses
 import json
 import os
@@ -393,6 +394,79 @@ class TestErrorsAndFormats:
         assert payload["T"] == "x1*x2*x3"
         assert payload["not_in_power"] and payload["colon_equals_prime"]
         assert payload["annihilator_divides"]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _subcommands(parser):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return list(action.choices)
+
+
+class TestLazyParser:
+    """`main` builds only the subparser that argv[0] names; its output
+    must equal the full parser's on help and on every usage error."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("", 2),
+            ("-h", 0),
+            ("--help", 0),
+            *((f"{name} -h", 0) for name in cli._SUBCOMMANDS),
+            ("frobnicate p4.graph", 2),
+            ("swee p4.graph", 2),
+            ("-- sweep p4.graph", 2),
+            ("ideal --t x p4.graph", 2),
+            ("ass --s 1 --format xml p4.graph", 2),
+            ("ass p4.graph", 2),
+            ("witness --n 3 --t 2", 2),
+            ("ideal missing.graph", 1),
+            ("ideal p4.graph extra", 2),
+            ("gap --m 1 extra", 2),
+            ("sweep --t 1 p4.graph", 0),
+        ],
+    )
+    def test_same_output_as_the_full_parser(
+        self, argv, code, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p4.graph").write_text(P4)
+        lazy = _outcome(argv.split(), capsys)
+        assert lazy[0] == code
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+        assert _outcome(argv.split(), capsys) == lazy
+
+    def test_only_the_named_subcommand_is_built(self, monkeypatch, capsys):
+        names = list(cli._SUBCOMMANDS)
+        assert names == ["ideal", "ass", "stability", "witness", "gap", "sweep"]
+        assert _subcommands(cli._build_parser()) == names
+        for name in names:
+            assert _subcommands(cli._build_parser(name)) == [name]
+        built = []
+        build = cli._build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        assert main(["witness", "--n", "3", "--t", "2", "--s", "2"]) == 0
+        with pytest.raises(SystemExit):
+            main(["swee"])
+        capsys.readouterr()
+        assert built == ["witness", None]
 
 
 def _drop_first_prime(report):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,23 +73,35 @@ def test_tree_survey_mismatch_exits_3(monkeypatch, capsys):
 def test_cli_digest_on_a_subset(tmp_path, monkeypatch):
     cli_digest = load_script("cli_digest")
     assert len(cli_digest.witness_commands()) == 308
+    groups = Counter(group for group, _ in cli_digest.command_list())
+    assert sum(groups.values()) == 1809 and groups["usage"] == 19
     cli_digest.write_corpus(tmp_path)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
     witness = [argv for argv in cli_digest.witness_commands() if argv[2] == "3"]
-    commands = (
+    argvs = (
         cli_digest.graph_commands("P4", path_graph(4))
         + cli_digest.hypergraph_commands("K3")
         + cli_digest.gap_commands()[:1]
         + witness
     )
+    commands = [(argv[0], argv) for argv in argvs]
+    commands += [("usage", argv) for argv in cli_digest.usage_commands()]
     first = cli_digest.digests(commands)
-    assert list(first) == ["sweep", "ideal", "ass", "stability", "gap", "witness"]
+    assert list(first) == [
+        "sweep", "ideal", "ass", "stability", "gap", "witness", "usage"
+    ]
     # n = 3: t = 2 needs s >= 2 and t = 3 any s >= 1; the rest exit 1.
     assert first["witness"][:2] == (35, {0: 11, 1: 24})
+    # Eight help texts, one missing file, the rest usage errors.
+    assert first["usage"][:2] == (19, {0: 8, 1: 1, 2: 10})
     assert cli_digest.digests(commands) == first
     code, out, err = cli_digest.run_command(witness[16])  # t=2 s=2
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "T = x1*x2*x3  (s0=2, e=0)"
+    code, out, err = cli_digest.run_command([])
+    assert (code, out) == (2, "")
+    assert err.endswith("the following arguments are required: command\n")
 
 
 def test_readme_python_blocks_run():
