@@ -64,6 +64,7 @@ from .monomials import (
     MonomialPrime,
     alexander_dual,
     associated_primes,
+    associated_primes_of_powers,
     colon,
     contains,
     ideal_intersection,

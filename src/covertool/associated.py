@@ -24,6 +24,7 @@ from .monomials import (
     MonomialIdeal,
     MonomialPrime,
     associated_primes,
+    associated_primes_of_powers,
     contains,
     ideal_power,
     monomial_str,
@@ -221,15 +222,17 @@ def empirical_astab(I: MonomialIdeal, s_max: int) -> StabilityReport:
     """Ass(I^s) for s = 1..s_max, with the start of a constant tail and
     the persistence verdict (Ass^s within Ass^{s+1} for every s < s_max).
 
+    The powers come from `associated_primes_of_powers`, which walks them
+    on one staircase and builds none while the box of I^s_max is small
+    enough; past that it takes each from `ideal_power`.
+
     The tail is empirical: a constant tail can in principle resume
     changing past s_max, so the value is never certified here.
     """
     _check_positive("s_max", s_max)
     if I.is_zero or I.is_unit:
         raise ValueError("stability analysis needs a proper nonzero ideal")
-    per_power = tuple(
-        associated_primes(ideal_power(I, s)) for s in range(1, s_max + 1)
-    )
+    per_power = tuple(associated_primes_of_powers(I, s_max))
     astab = None
     tail = s_max
     while tail > 1 and per_power[tail - 2] == per_power[s_max - 1]:

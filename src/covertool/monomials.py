@@ -16,6 +16,8 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .staircase import Box, Shifts, corners
+
 
 def support_vector(indices, nvars: int) -> tuple[int, ...]:
     """The square-free exponent vector with a 1 exactly at `indices`."""
@@ -661,86 +663,15 @@ def _radices(reps, classes) -> list[int]:
     return radix
 
 
-def _tile(block: int, period: int, size: int) -> int:
-    """The pattern `block` of `period` bits repeated over `size` bits."""
-    while period < size:
-        block |= block << period
-        period <<= 1
-    return block & ((1 << size) - 1)
-
-
 def _staircase(reps, classes, top) -> list[tuple[int, ...]]:
     """The canonical component vectors that `_components` returns, read
-    off the staircase of the ideal in its exponent box.
+    off the staircase of the ideal in its exponent box (see `_radices`).
 
-    The box holds the points x with 0 <= x_i < radix_i (see `_radices`),
-    one bit each in one int, at sum x_i * stride_i in mixed radix.  U,
-    the points of the ideal, is the upward closure of the points of
-    reps, one shift along each axis by 1, 2, 4, ... steps; the rest of
-    the box is the staircase of standard monomials.  Its corners, the
-    standard x with x + e_i in U or x_i = radix_i - 1 for every i, are
-    the maximal standard monomials, and the irreducible components are
-    <x_i^(x_i + 1) : x_i < radix_i - 1> over the corners (Miller and
-    Sturmfels, Combinatorial Commutative Algebra, ch. 5).
-
-    Only canonical corners are kept, those whose entries do not increase
-    within a class.  On a canonical x, U built from the canonical reps
-    alone is exact (see `_classes`).  So is it on x + e_i unless x_i
-    equals the entry before it in its class, where that test is skipped:
-    x + e_i is then an image of x + e_j, with j where the run of equal
-    entries starts, and x + e_j is canonical and tested.
+    On a canonical x the upward closure of the canonical reps alone is
+    exact (see `_classes`), and that is all `corners` reads.
     """
-    radix = _radices(reps, classes)
-    stride = list(itertools.accumulate(radix, operator.mul, initial=1))
-    size = stride.pop()
-    # A 1 at the first point of every period of each axis, where the
-    # variable and all before it are 0.
-    starts = [_tile(1, period, size) for period in stride[1:] + [size]]
-
-    def rows(i, lo, hi):
-        # The points with lo <= x_i < hi.
-        return (starts[i] << hi * stride[i]) - (starts[i] << lo * stride[i])
-
-    points = bytearray(size // 8 + 1)
-    for r in reps:
-        at = sum(map(operator.mul, r, stride))
-        points[at >> 3] |= 1 << (at & 7)
-    U = int.from_bytes(points, "little")
-    for i, r in enumerate(radix):
-        step = 1
-        while step < r:
-            U |= (U & rows(i, 0, r - step)) << step * stride[i]
-            step <<= 1
-    corners = ((1 << size) - 1) ^ U
-    before = {i: p for cls in classes for p, i in zip(cls, cls[1:])}
-    for i, r in enumerate(radix):
-        if r == 1:
-            continue
-        up = rows(i, r - 1, r) | U >> stride[i]
-        if i in before:
-            # x_p against x_i on one period of axis i, then tiled.
-            p, s = before[i], stride[i]
-            low = starts[p] & ((1 << s) - 1)
-            eq = gt = 0
-            for v in range(r):
-                eq |= ((low << (v + 1) * stride[p]) - (low << v * stride[p])) << v * s
-                gt |= ((low << r * stride[p]) - (low << (v + 1) * stride[p])) << v * s
-            up = up & _tile(gt, r * s, size) | _tile(eq, r * s, size)
-        corners &= up
-    data = corners.to_bytes(-(-size // 64) * 8, "little")
-    found = []
-    for at in itertools.compress(range(0, len(data), 8), memoryview(data).cast("Q")):
-        word = int.from_bytes(data[at : at + 8], "little")
-        while word:
-            bit = word & -word
-            word ^= bit
-            found.append(8 * at + bit.bit_length() - 1)
-    columns = []
-    for r in radix:
-        entry = [*range(1, r), top]
-        columns.append([entry[x % r] for x in found])
-        found = [x // r for x in found]
-    return list(zip(*columns))
+    box = Box(_radices(reps, classes))
+    return corners(box, box.upward(reps), box.corner_tests(classes), top)
 
 
 def _decompose(I: MonomialIdeal):
@@ -790,28 +721,71 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
     return tuple(IrreducibleComponent(c) for c in ordered)
 
 
-def _supports(I: MonomialIdeal) -> list[tuple[int, ...]]:
-    """The distinct supports of the irredundant irreducible components of
-    a proper nonzero I, as 0/1 vectors.
+def _supports(classes, top, vecs) -> list[tuple[bool, ...]]:
+    """The distinct supports, as flags per variable, of the irredundant
+    irreducible components whose canonical vectors `_decompose` returns
+    as vecs.
 
     Only the supports of the canonical components are expanded.  Within
     a class a canonical vector lists its absent variables, marked `top`,
     first, so supports in one orbit are equal there and each orbit of
     supports is expanded once.
     """
-    classes, top, vecs = _decompose(I)
-    supports = {tuple(int(e != top) for e in v) for v in vecs}
-    return _orbits(list(supports), classes)
+    return _orbits(list({tuple(map(top.__ne__, v)) for v in vecs}), classes)
+
+
+def _primes(classes, top, vecs) -> frozenset[MonomialPrime]:
+    return frozenset(
+        MonomialPrime(frozenset(itertools.compress(range(len(s)), s)))
+        for s in _supports(classes, top, vecs)
+    )
+
+
+def _check_proper(I: MonomialIdeal):
+    if I.is_zero or I.is_unit:
+        raise ValueError("associated primes are computed for proper nonzero ideals")
 
 
 def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
     """Ass(I): the supports of the irredundant irreducible components."""
-    if I.is_zero or I.is_unit:
-        raise ValueError("associated primes are computed for proper nonzero ideals")
-    return frozenset(
-        MonomialPrime(frozenset(i for i, x in enumerate(s) if x))
-        for s in _supports(I)
-    )
+    _check_proper(I)
+    return _primes(*_decompose(I))
+
+
+def associated_primes_of_powers(
+    I: MonomialIdeal, s_max: int
+) -> list[frozenset[MonomialPrime]]:
+    """Ass(I^s) for s = 1..s_max, walking the powers on one staircase.
+
+    No power is built while the box of I^s_max, radix s_max * m_i + 1 on
+    each variable with m_i its largest exponent in I, has at most
+    `_STAIRCASE_MAX_BITS` points, the limit `_decompose` sets for one
+    ideal.  The points of I^s in that one box come from those of
+    I^(s-1) by one shift per generator of I (see `Shifts`), starting
+    from the whole box, I^0, and `corners` reads each power on the
+    classes of I, which fix all its powers.  A larger box takes each
+    power from `ideal_power`, and a single power is I itself.
+    """
+    _check_proper(I)
+    if s_max < 1:
+        raise ValueError(f"s_max must be a positive integer, got {s_max}")
+    if s_max == 1:
+        return [associated_primes(I)]
+    gens = I.gens
+    radix = [1 + s_max * x for x in map(max, zip(*gens))]
+    if math.prod(radix) > _STAIRCASE_MAX_BITS:
+        return [associated_primes(ideal_power(I, s)) for s in range(1, s_max + 1)]
+    box = Box(radix)
+    classes = _classes(gens, I.nvars)
+    tests = box.corner_tests(classes)
+    top = max(radix)
+    shift = Shifts(box, gens)
+    U = box.full
+    per_power = []
+    for _ in range(s_max):
+        U = shift(U)
+        per_power.append(_primes(classes, top, corners(box, U, tests, top)))
+    return per_power
 
 
 def witness_search(I: MonomialIdeal, P: MonomialPrime) -> tuple[int, ...] | None:
@@ -856,7 +830,8 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
         return zero_ideal(I.ambient)
     if I.is_zero:
         return unit_ideal(I.ambient)
-    return minimalize(I.ambient, _supports(I))
+    supports = _supports(*_decompose(I))
+    return minimalize(I.ambient, [tuple(map(int, s)) for s in supports])
 
 
 # Serialization: `x1^2*x3` style, exponent 1 elided, `1` for the empty

@@ -292,13 +292,14 @@ class TestSweep:
         from covertool import associated
 
         calls = []
-        oracle = associated.associated_primes
+        for name in ("associated_primes", "associated_primes_of_powers"):
+            oracle = getattr(associated, name)
 
-        def spy(ideal):
-            calls.append(ideal)
-            return oracle(ideal)
+            def spy(ideal, *args, oracle=oracle):
+                calls.append(ideal)
+                return oracle(ideal, *args)
 
-        monkeypatch.setattr(associated, "associated_primes", spy)
+            monkeypatch.setattr(associated, name, spy)
         leaves = [f"x{i}" for i in range(1, 8)]
         star7 = "vertices: z " + " ".join(leaves) + "\n"
         star7 += "".join(f"edge: z {x}\n" for x in leaves)

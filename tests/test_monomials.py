@@ -10,6 +10,7 @@ import math
 import operator
 import random
 
+import networkx as nx
 import pytest
 from decompositions import reference_decomposition
 from hypothesis import example, given, settings
@@ -45,6 +46,7 @@ from covertool.monomials import (
     MonomialPrime,
     alexander_dual,
     associated_primes,
+    associated_primes_of_powers,
     colon,
     contains,
     ideal_contains_ideal,
@@ -1084,6 +1086,114 @@ class TestStaircaseKernel:
             monomials._decompose(I)
             assert picked == [kernel], I
             _kernels_agree(I)
+
+
+def _chain_agrees(I, s_max):
+    """The power chain equals Ass of every power built and decomposed on
+    its own.  Returns whether the box of I^s_max lies within the
+    staircase limit, where the chain must build no power."""
+    ideal_power.cache_clear()
+    got = associated_primes_of_powers(I, s_max)
+    box = math.prod(1 + s_max * max(column) for column in zip(*I.gens))
+    inside = box <= monomials._STAIRCASE_MAX_BITS
+    assert (ideal_power.cache_info().misses == 0) == (inside or s_max == 1), I
+    ideal_power.cache_clear()
+    expected = [associated_primes(ideal_power(I, s)) for s in range(1, s_max + 1)]
+    assert got == expected, (I, s_max)
+    return inside
+
+
+# Non-square-free ideals in which a class holds an exponent 2, so the
+# masks x_i < radix_i - g_i with g_i >= 2 and the canonical corners both
+# take part.
+_CHAIN_EXAMPLES = [
+    minimalize(X4, [(2, 0, 1, 0), (0, 2, 1, 0), (1, 1, 0, 3), (0, 0, 2, 2)]),
+    minimalize(X4, [(2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 3, 1), (1, 1, 1, 1)]),
+]
+
+
+class TestPowerChain:
+    def test_every_tree_up_to_eight_vertices(self):
+        inside = outside = 0
+        for n in range(2, 9):
+            for tree in nx.nonisomorphic_trees(n):
+                g = Graph.build(map(str, tree.nodes), (map(str, e) for e in tree.edges))
+                for t in range(1, g.max_degree() + 1):
+                    if _chain_agrees(partial_cover_ideal(g, t), astab_tree(g, t) + 1):
+                        inside += 1
+                    else:
+                        outside += 1
+        # Past the limit: t = 2 on trees of maximum degree 5 or more on 7
+        # vertices and 4 or more on 8 (box (Delta + 1)^n), and K_{1,7} at
+        # t = 3 (box 5^8).
+        assert (inside, outside) == (150, 15)
+
+    def test_star_cells_inside_the_limit(self):
+        # Each star walks up to astab + 1, or to the last power whose box
+        # lies within the limit.
+        walked = []
+        for n in range(2, 9):
+            for t in range(1, n + 1):
+                J = star_generators(n, t)
+                s_max = astab_tree(star_graph(n), t) + 1
+                while math.prod(1 + s_max * max(c) for c in zip(*J.gens)) > (
+                    monomials._STAIRCASE_MAX_BITS
+                ):
+                    s_max -= 1
+                assert _chain_agrees(J, s_max)
+                walked.append(s_max)
+        assert len(walked) == 35 and sum(walked) == 96
+
+    @settings(max_examples=40, deadline=None)
+    @example((_CHAIN_EXAMPLES[0], []), 3)
+    @example((_CHAIN_EXAMPLES[1], [(0, 1)]), 3)
+    @given(
+        st.one_of(
+            symmetric_ideals_strategy(),
+            ideals_strategy().map(lambda I: (I, [])),
+        ),
+        st.integers(1, 3),
+    )
+    def test_non_squarefree_ideals(self, case, s_max):
+        I, _ = case
+        assert _chain_agrees(I, s_max)
+
+    def test_examples_have_exponent_two_in_a_class(self):
+        for I in _CHAIN_EXAMPLES:
+            classes = classes_of_gens(I.gens, I.nvars)
+            assert any(g[i] >= 2 for g in I.gens for cls in classes for i in cls), I
+
+    def test_variable_in_no_generator(self):
+        I = minimalize(("a", "b", "c", "d"), [(1, 0, 2, 0), (2, 0, 1, 1), (0, 0, 3, 2)])
+        assert _chain_agrees(I, 3)
+        assert all(1 not in p.support for p in associated_primes_of_powers(I, 3)[-1])
+
+    def test_single_power(self):
+        for I in _CHAIN_EXAMPLES + [star_generators(4, 2)]:
+            assert _chain_agrees(I, 1)
+            assert associated_primes_of_powers(I, 1) == [associated_primes(I)]
+
+    def test_gate_at_the_box_limit(self):
+        # The box of I^3 is 64^3 points, exactly the limit; that of J^2
+        # is 5 * 13 * 37 * 109, one more, and takes the powers from
+        # ideal_power.
+        I = minimalize(("a", "b", "c"), [(21, 0, 0), (0, 21, 0), (0, 0, 21), (7, 7, 7)])
+        J = minimalize(
+            ("a", "b", "c", "d"),
+            [(2, 0, 0, 0), (0, 6, 0, 0), (0, 0, 18, 0), (0, 0, 0, 54), (1, 3, 9, 27)],
+        )
+        limit = monomials._STAIRCASE_MAX_BITS
+        assert math.prod(1 + 3 * max(column) for column in zip(*I.gens)) == limit
+        assert math.prod(1 + 2 * max(column) for column in zip(*J.gens)) == limit + 1
+        assert _chain_agrees(I, 3)
+        assert not _chain_agrees(J, 2)
+
+    def test_rejects_degenerate_input(self):
+        for bad in (unit_ideal(X4), zero_ideal(X4)):
+            with pytest.raises(ValueError, match="proper nonzero"):
+                associated_primes_of_powers(bad, 2)
+        with pytest.raises(ValueError, match="s_max must be a positive integer"):
+            associated_primes_of_powers(star_generators(3, 2), 0)
 
 
 @given(ideals_strategy())

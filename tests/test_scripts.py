@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from covertool.associated import oracle_sweep
 from covertool.graphs import path_graph, star_graph
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -42,6 +43,42 @@ def test_star_table_runs():
         # first power carrying the maximal ideal all coincide.
         _, _, astab, tail, first = row.split()[:5]
         assert astab == tail == first, row
+
+
+def test_star_table_mismatch_exits_3(monkeypatch, capsys):
+    star_table = load_script("star_table")
+    predict = star_table.predict_ass_star
+
+    def wrong(n, t, s):
+        # Drop the maximal ideal wherever the closed form has it.
+        report = predict(n, t, s)
+        return replace(report, primes=frozenset(p for p in report.primes
+                                                if len(p.support) <= n))
+
+    monkeypatch.setattr(star_table, "predict_ass_star", wrong)
+    monkeypatch.setattr(sys, "argv", ["star_table.py", "--max-n", "3"])
+    with pytest.raises(SystemExit) as info:
+        star_table.main()
+    assert info.value.code == 3
+    out = capsys.readouterr().out.splitlines()
+    # Exactly the cells whose Ass holds the maximal ideal.
+    cells = [(2, 2, 1), (2, 2, 2), (3, 2, 2), (3, 2, 3), (3, 3, 1), (3, 3, 2)]
+    assert [line for line in out if line.startswith("MISMATCH")] == [
+        f"MISMATCH n={n} t={t} s={s}: Ass differs from predict_ass_star"
+        for n, t, s in cells
+    ]
+
+
+def test_star_table_tail_mismatch_exits_3(monkeypatch, capsys):
+    star_table = load_script("star_table")
+    monkeypatch.setattr(star_table, "astab_tree", lambda g, t: 1)
+    monkeypatch.setattr(star_table, "oracle_sweep", lambda g, t: oracle_sweep(g, t, 3))
+    monkeypatch.setattr(sys, "argv", ["star_table.py", "--max-n", "3"])
+    with pytest.raises(SystemExit) as info:
+        star_table.main()
+    assert info.value.code == 3
+    out = capsys.readouterr().out
+    assert "MISMATCH n=3 t=2 s=3: tail 2 against astab 1" in out
 
 
 def test_tree_survey_matches_on_small_trees():
