@@ -16,6 +16,7 @@ from covertool.associated import (
     predict_ass_tree,
     verify_annihilator_divisibility,
 )
+from covertool import monomials
 from covertool.associated import _witness_checks
 from covertool.catalog import nontree_graphs, trees_up_to_6
 from covertool.covers import partial_cover_ideal, star_generators
@@ -124,6 +125,16 @@ class TestPredictStar:
         # 3,432 generators and 6,378 components, then 7,198 and 11,832.
         for n, t, s in ((7, 2, 7), (8, 3, 4)):
             power = ideal_power(star_generators(n, t), s)
+            expected = predict_ass_star(n, t, s).primes
+            assert associated_primes(power) == expected, (n, t, s)
+
+    def test_oracle_past_the_staircase_limit(self):
+        # Boxes of 3.9e8, 6.1e7, 3.6e8 and 4.9e7 points, all decomposed
+        # by the incremental loop: 24,237, 89,770, 200,222 and 313,973
+        # components.
+        for n, t, s in ((8, 2, 8), (9, 3, 5), (10, 3, 5), (10, 4, 4)):
+            power = ideal_power(star_generators(n, t), s)
+            assert (s + 1) ** (n + 1) > monomials._STAIRCASE_MAX_BITS
             expected = predict_ass_star(n, t, s).primes
             assert associated_primes(power) == expected, (n, t, s)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from transversals import edge_ideal, reference_dual
 
+from covertool import monomials
 from covertool.associated import predict_ass_star, tail_contradicts_astab
 from covertool.catalog import hypergraph_corpus
 from covertool.cli import GAP_FAMILY_CAP
@@ -135,6 +136,17 @@ class TestVerifyGap:
             assert report.chi == 2
             assert report.astab == astab == report.oracle_astab
             assert report.gap_bound == m + 1
+            assert report.all_checks_pass, m
+
+    def test_past_the_cli_cap(self):
+        # J(H_m) = J_2(K_{1,m+2}): astab = m + 1, and the oracle walks
+        # s = 1..m+2, whose box of (m + 3)^(m + 3) points lies past the
+        # staircase limit from m = 4 on.
+        for m in range(4, 9):
+            assert (m + 3) ** (m + 3) > monomials._STAIRCASE_MAX_BITS
+            report = verify_gap(m)
+            assert not report.refuted, m
+            assert report.oracle_astab == report.astab == m + 1, m
             assert report.all_checks_pass, m
 
     def test_cap(self):

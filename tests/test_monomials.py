@@ -36,6 +36,7 @@ from covertool.graphs import (
     Graph,
     broom,
     cycle_graph,
+    double_star,
     path_graph,
     spider,
     star_graph,
@@ -1017,6 +1018,150 @@ def test_staircase_matches_incremental_and_reference(case):
     I, _ = case
     for power in (I, ideal_power(I, 2)):
         _kernels_agree(power)
+
+
+# The incremental loop runs only on the members of each orbit that some
+# held component misses (see `_components`).  These check the members
+# it picks against a test of every member, and the loop against the
+# splitting reference where several held components pick different
+# members.
+
+
+def _members_missed_by_some(r, cs, classes):
+    """Every member of the orbit of r, in `_orbits` order, that some
+    vector of cs misses, each member tested on its own."""
+    return [
+        p
+        for p in monomials._orbits([r], classes)
+        if any(all(x < y for x, y in zip(p, c) if x) for c in cs)
+    ]
+
+
+@st.composite
+def orbit_cases(draw):
+    """A canonical generator r with entries 0 to 3, one to three
+    canonical component vectors with entries 1 to 4, and the classes of
+    a random partition of 4 to 7 variables: repeated and zero entries
+    within a class, and bounds equal to entries, are common."""
+    nvars = draw(st.integers(4, 7))
+    order = draw(st.permutations(range(nvars)))
+    cuts = sorted(draw(st.sets(st.integers(1, nvars - 1))))
+    blocks = [tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, nvars])]
+    classes = tuple(sorted(b for b in blocks if len(b) > 1))
+
+    def canonical(v):
+        return monomials._canonical(v, classes)
+
+    r = canonical(draw(st.tuples(*[st.integers(0, 3)] * nvars)))
+    vectors = st.tuples(*[st.integers(1, 4)] * nvars).map(canonical)
+    cs = draw(st.lists(vectors, min_size=1, max_size=3))
+    return r, cs, classes
+
+
+@settings(max_examples=150, deadline=None)
+# No classes: the second vector fails at the first variable.
+@example(((1, 0, 2), [(2, 1, 3), (1, 4, 4)], ()))
+# The only vector misses r in its class but not at the first variable.
+@example(((2, 1, 1, 0), [(2, 3, 3, 3)], ((1, 2, 3),)))
+# The first vector misses r alone, the second four members.
+@example(((0, 2, 1, 0), [(1, 3, 2, 1), (1, 3, 3, 2)], ((1, 2, 3),)))
+# r touches neither class.
+@example(((3, 0, 0, 0, 0), [(4, 1, 1, 2, 2)], ((1, 2), (3, 4))))
+@given(orbit_cases())
+def test_missed_members_are_the_members_some_vector_misses(case):
+    r, cs, classes = case
+    assert monomials._missed_members(r, cs, classes) == _members_missed_by_some(
+        r, cs, classes
+    )
+
+
+@st.composite
+def two_block_ideals_strategy(draw):
+    """Ideals in 5 or 6 variables closed under one or two blocks of
+    interchangeable variables, from one to four generators with
+    exponents up to 3: several held components miss members of one
+    orbit, and classes hold repeated and zero entries."""
+    nvars = draw(st.sampled_from((5, 6)))
+    blocks = draw(
+        st.sampled_from(
+            [[(0, 1, 2), (3, 4)], [(0, 1, 2, 3)], [(1, 2, 3)], [(0, 1), (2, 3)]]
+            + ([[(0, 1, 2), (3, 4, 5)]] if nvars == 6 else [])
+        )
+    )
+    small = st.tuples(*[st.integers(0, 3)] * nvars)
+    gens = draw(st.lists(small, min_size=1, max_size=4))
+    ambient = tuple(f"x{i}" for i in range(1, nvars + 1))
+    result = minimalize(ambient, _close(gens, blocks))
+    if result.is_unit:
+        result = minimalize(ambient, _close([(1,) * nvars], blocks))
+    return result
+
+
+@settings(max_examples=25, deadline=None)
+# Found by a search: orbits of the square whose members two held
+# components miss in different sets.
+@example(
+    minimalize(
+        ("x1", "x2", "x3", "x4", "x5"),
+        _close([(2, 3, 1, 1, 0), (2, 3, 0, 0, 3), (2, 2, 2, 2, 0)], [(1, 2, 3)]),
+    )
+)
+# A generator touching no class, and an ideal with no classes.
+@example(
+    minimalize(
+        ("a", "b", "c", "d", "e"),
+        _close([(2, 0, 0, 0, 1), (0, 1, 1, 0, 2)], [(1, 2, 3)]),
+    )
+)
+@example(
+    minimalize(
+        ("a", "b", "c", "d", "e"),
+        [(2, 0, 1, 0, 1), (0, 1, 1, 3, 0), (1, 2, 0, 0, 2)],
+    )
+)
+@given(two_block_ideals_strategy())
+def test_incremental_loop_matches_reference_on_two_blocks(I):
+    # The splitting reference takes seconds on squares of more than 20
+    # generators, so those are decomposed at the first power only.
+    for power in (I, ideal_power(I, 2)) if len(I.gens) <= 20 else (I,):
+        assert _orbits_agree(power, reference_decomposition(power)), power
+
+
+class TestOrbitSkip:
+    def test_two_leaf_classes_past_the_limit(self):
+        # The double stars with leaves 3 + 3 and 2 + 4: two classes of
+        # leaves, and the 4th powers of J_1 and J_2 have 5^8 points.
+        for a, b, t in [(3, 3, 1), (3, 3, 2), (2, 4, 1)]:
+            power = ideal_power(partial_cover_ideal(double_star(a, b), t), 4)
+            classes, reps = power._reps
+            assert [len(c) for c in classes] == [a, b], (a, b, t)
+            box = math.prod(monomials._radices(reps, classes))
+            assert box > monomials._STAIRCASE_MAX_BITS, (a, b, t)
+            expected = reference_decomposition(power)
+            assert _orbits_agree(power, expected), (a, b, t)
+
+    def test_held_components_pick_different_members(self, monkeypatch):
+        # In the square of the searched example above, some orbit has
+        # members that the first flagged component does not miss and a
+        # later one does, so the loop must run on the union.
+        I = minimalize(
+            ("x1", "x2", "x3", "x4", "x5"),
+            _close([(2, 3, 1, 1, 0), (2, 3, 0, 0, 3), (2, 2, 2, 2, 0)], [(1, 2, 3)]),
+        )
+        calls = []
+        picked = monomials._missed_members
+
+        def recording(r, cs, classes):
+            calls.append((r, cs, classes))
+            return picked(r, cs, classes)
+
+        monkeypatch.setattr(monomials, "_missed_members", recording)
+        square = ideal_power(I, 2)
+        assert _orbits_agree(square, reference_decomposition(square))
+        assert any(
+            picked(r, cs[:1], classes) != picked(r, cs, classes)
+            for r, cs, classes in calls
+        )
 
 
 class TestStaircaseKernel:
