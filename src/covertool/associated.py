@@ -224,7 +224,7 @@ def empirical_astab(I: MonomialIdeal, s_max: int) -> StabilityReport:
 
     The powers come from `associated_primes_of_powers`, which walks them
     on one staircase and builds none while the box of I^s_max is small
-    enough; past that it takes each from `ideal_power`.
+    enough; past that it steps each from the one before.
 
     The tail is empirical: a constant tail can in principle resume
     changing past s_max, so the value is never certified here.

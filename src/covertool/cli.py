@@ -26,7 +26,7 @@ from .associated import (
     predict_ass_tree,
     tail_contradicts_astab,
 )
-from .covers import partial_cover_ideal
+from .covers import _check_positive, partial_cover_ideal
 from .graphs import Graph, Hypergraph, ParseError, parse_hypergraph, star_graph
 from .hypercovers import hypergraph_cover_ideal, verify_gap
 from .monomials import (
@@ -188,6 +188,7 @@ def cmd_ass(args) -> int:
         # A hypergraph file has an edge of three or more vertices, so its
         # cover ideal is never the unit ideal.
         ideal = _cover_ideal(obj, args.t)
+        _check_positive("s", args.s)
         primes = associated_primes(ideal_power(ideal, args.s))
         payload["ambient"] = list(obj.vertices)
         payload["direct"] = _primes_json(primes, obj.vertices)

@@ -259,6 +259,19 @@ def _canonical(e, classes) -> tuple[int, ...]:
     return tuple(v)
 
 
+def _canonical_packed(c: int, touched, low: int) -> int:
+    """`_canonical` on a packed vector (see `_layout`), for the classes
+    whose lists of field offsets are `touched`; `low` is a field's
+    exponent bits.  A class already in order is left as it is."""
+    for shifts in touched:
+        read = [(c >> s) & low for s in shifts]
+        values = sorted(read, reverse=True)
+        if values != read:
+            for s, x, y in zip(shifts, read, values):
+                c ^= (x ^ y) << s
+    return c
+
+
 def _arrangements(values):
     """The distinct orderings of a multiset, by next-permutation steps."""
     a = sorted(values)
@@ -407,26 +420,13 @@ def _held_reps(I: MonomialIdeal):
     return classes, gens
 
 
-@lru_cache(maxsize=None)
-def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
-    """I^s, minimalizing after each multiplication to control blowup.
-
-    Each step multiplies the canonical generators of I^(s-1), one per
-    orbit of I's interchangeable variables, by every generator of I and
-    minimalizes the canonical products.  The power holds its canonical
-    generators and the classes, which the next step, the decomposition,
-    `contains` and `colon` start from; its `gens` are expanded from them
-    only when read.
-    """
-    if s < 0:
-        raise ValueError("negative power")
-    if s == 0:
-        return unit_ideal(I.ambient)
-    if s == 1:
-        return I
-    # I^(s-1) is I itself at s = 2; a power of a power holds the classes
-    # of the first base, which fix every power of it.
-    classes, reps = _held_reps(ideal_power(I, s - 1))
+def _power_step(power: MonomialIdeal, I: MonomialIdeal) -> MonomialIdeal:
+    """power * I, for a power of I: the canonical products of the
+    generators power holds, one per orbit, with every generator of I,
+    minimalized.  The product holds the classes (of the first base, for
+    a power of a power) and its canonical generators, which the next
+    step, `_decompose`, `contains` and `colon` read; `gens` expands them."""
+    classes, reps = _held_reps(power)
     # A product of a canonical r with h can be out of order only in the
     # classes that meet the support of h.
     factors = [(h, [c for c in classes if any(h[i] for i in c)]) for h in I.gens]
@@ -436,6 +436,22 @@ def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
         for h, touched in factors
     }
     return MonomialIdeal(I.ambient, None, (classes, _minimalize_exps(prods)))
+
+
+@lru_cache(maxsize=None)
+def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
+    """I^s, minimalized after each multiplication: s - 1 steps of
+    `_power_step` from I."""
+    if type(s) is not int:
+        raise ValueError(f"power {s!r} is not an int")
+    if s < 0:
+        raise ValueError("negative power")
+    if s == 0:
+        return unit_ideal(I.ambient)
+    power = I
+    for _ in range(s - 1):
+        power = _power_step(power, I)
+    return power
 
 
 def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -467,23 +483,6 @@ def ideal_contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     """Whether J is a subset of I (every generator of J lies in I)."""
     _check_same_ambient(I, J)
     return all(contains(I, g) for g in J.gens)
-
-
-class _SortedFields(dict):
-    """Maps the exponent bits of one class's packed fields to the same
-    fields sorted in decreasing order, sorting each pattern once."""
-
-    def __init__(self, cls: tuple[int, ...], width: int):
-        super().__init__()
-        self.cls = cls
-        self.shifts = [i * width for i in cls]
-        self.low = (1 << (width - 1)) - 1
-        self.mask = sum(self.low << s for s in self.shifts)
-
-    def __missing__(self, bits: int) -> int:
-        values = sorted([(bits >> s) & self.low for s in self.shifts], reverse=True)
-        self[bits] = ordered = sum(x << s for x, s in zip(values, self.shifts))
-        return ordered
 
 
 def _arrangements_under(values, bounds):
@@ -598,17 +597,11 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
     """
     width, H = _layout(top, nvars)
     low = (1 << (width - 1)) - 1  # the exponent bits of one field
-    sorters = [_SortedFields(cls, width) for cls in classes]
     slots = _Slots(width, nvars, H)
     bits = slots.bits
     exponents = ((1 << nvars * width) - 1) ^ H  # the exponent bits of a slot
     fields = [low << i * width for i in range(nvars)]
-
-    def canonical(c, touched):
-        for sorter in touched:
-            part = c & sorter.mask
-            c ^= part ^ sorter[part]
-        return c
+    class_shifts = [(cls, [i * width for i in cls]) for cls in classes]
 
     def unpack(c):
         return tuple((c >> i * width) & low for i in range(nvars))
@@ -672,7 +665,7 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
     for r in reps:
         # Tightenings write only at the variables of the orbit, so the
         # classes it does not touch stay in canonical order.
-        touched = [s for s in sorters if any(r[i] for i in s.cls)]
+        touched = [shifts for cls, shifts in class_shifts if any(r[i] for i in cls)]
         held = len(vecs)
         if len(vecs) > 2 * live:
             compact()
@@ -713,7 +706,7 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
             # redundant.
             made = list(itertools.compress(vecs[held:], live_flags()[held:]))
             new.update(made)
-            new = {canonical(c, touched) for c in new}
+            new = {_canonical_packed(c, touched, low) for c in new}
             del vecs[held:]
             live -= len(made)
             pool &= (1 << bits * held) - 1
@@ -849,18 +842,21 @@ def associated_primes_of_powers(
     ideal.  The points of I^s in that one box come from those of
     I^(s-1) by one shift per generator of I (see `Shifts`), starting
     from the whole box, I^0, and `corners` reads each power on the
-    classes of I, which fix all its powers.  A larger box takes each
-    power from `ideal_power`, and a single power is I itself.
+    classes of I, which fix all its powers.  A larger box, or a single
+    power, steps each power from the one before (see `_power_step`),
+    decomposes it and drops it.
     """
     _check_proper(I)
-    if s_max < 1:
+    if type(s_max) is not int or s_max < 1:
         raise ValueError(f"s_max must be a positive integer, got {s_max}")
-    if s_max == 1:
-        return [associated_primes(I)]
     gens = I.gens
     radix = [1 + s_max * x for x in map(max, zip(*gens))]
-    if math.prod(radix) > _STAIRCASE_MAX_BITS:
-        return [associated_primes(ideal_power(I, s)) for s in range(1, s_max + 1)]
+    if s_max == 1 or math.prod(radix) > _STAIRCASE_MAX_BITS:
+        per_power, power = [associated_primes(I)], I
+        for _ in range(s_max - 1):
+            power = _power_step(power, I)
+            per_power.append(associated_primes(power))
+        return per_power
     box = Box(radix)
     classes = _classes(gens, I.nvars)
     tests = box.corner_tests(classes)

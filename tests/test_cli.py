@@ -12,10 +12,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from covertool import cli, hypercovers
+from covertool import cli, hypercovers, monomials
 from covertool.cli import main
 from covertool.monomials import MonomialPrime, sorted_primes
 
@@ -28,6 +29,9 @@ C5 = (
     "edge: x1 x2\nedge: x2 x3\nedge: x3 x4\nedge: x4 x5\nedge: x1 x5\n"
 )
 H1 = "vertices: z x1 x2 x3\nedge: z x1 x2\nedge: z x1 x3\nedge: z x2 x3\n"
+LEAVES7 = [f"x{i}" for i in range(1, 8)]
+STAR7 = "vertices: z " + " ".join(LEAVES7) + "\n"
+STAR7 += "".join(f"edge: z {x}\n" for x in LEAVES7)
 
 
 @pytest.fixture
@@ -133,6 +137,14 @@ class TestAss:
         assert code == 1
         assert out == ""
         assert "no t parameter" in err
+
+    @pytest.mark.parametrize("s", ["0", "-1"])
+    @pytest.mark.parametrize("text", [STAR3, H1], ids=["graph", "hypergraph"])
+    def test_nonpositive_power_rejected(self, graph_file, capsys, text, s):
+        code, out, err = run(capsys, "ass", "--s", s, graph_file(text))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: s must be a positive integer, got {s}\n"
 
     def test_power_cap(self, graph_file, capsys):
         code, _, err = run(capsys, "ass", "--t", "1", "--s", "7", graph_file(STAR3))
@@ -300,14 +312,26 @@ class TestSweep:
                 return oracle(ideal, *args)
 
             monkeypatch.setattr(associated, name, spy)
-        leaves = [f"x{i}" for i in range(1, 8)]
-        star7 = "vertices: z " + " ".join(leaves) + "\n"
-        star7 += "".join(f"edge: z {x}\n" for x in leaves)
-        code, out, err = run(capsys, "sweep", graph_file(star7))
+        code, out, err = run(capsys, "sweep", graph_file(STAR7))
         assert code == 1
         assert out == ""
         assert "smax=7 > 6" in err
         assert calls == []
+
+    def test_past_limit_chain_caches_no_power(self, graph_file, capsys):
+        # J_2 of K_{1,7} walked to s = 7: the box of J^7 has 8^8 points,
+        # past the staircase limit, so each power is stepped from the one
+        # before, and none is left in the memo of ideal_power.
+        path = graph_file(STAR7)
+        for argv in (["sweep", "--t", "2"], ["stability", "--t", "2", "--smax", "7"]):
+            monomials.ideal_power.cache_clear()
+            with mock.patch.object(
+                monomials, "_power_step", wraps=monomials._power_step
+            ) as step:
+                code, _, _ = run(capsys, *argv, "--force", path)
+            assert code == 0, argv
+            assert step.call_count == 6, argv
+            assert monomials.ideal_power.cache_info().currsize == 0, argv
 
 
 class TestErrorsAndFormats:

@@ -9,11 +9,13 @@ import itertools
 import math
 import operator
 import random
+import re
+from unittest import mock
 
 import networkx as nx
 import pytest
 from decompositions import reference_decomposition
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from minimalizers import (
     reference_colon,
@@ -186,6 +188,18 @@ class TestIdealArithmetic:
         assert ideal_power(zero_ideal(X4), 2).is_zero
         with pytest.raises(ValueError):
             ideal_power(I, -1)
+
+    def test_power_must_be_an_int(self):
+        # Exponents no other test asks for, so that no memo entry under
+        # an equal int answers first.
+        I = ideal(X4, "x1^5*x2^7", "x3^3")
+        for s in (2.0, 2.5, True, "2", None):
+            with pytest.raises(ValueError, match=re.escape(f"power {s!r} is not")):
+                ideal_power(I, s)
+        for s in (2.0, 2.5, True):
+            message = f"s_max must be a positive integer, got {s}"
+            with pytest.raises(ValueError, match=message):
+                associated_primes_of_powers(I, s)
 
     def test_intersection_of_neighbour_primes(self):
         left = ideal(X4, "x1", "x2", "x3")
@@ -1037,6 +1051,15 @@ def _members_missed_by_some(r, cs, classes):
     ]
 
 
+def _draw_classes(draw, nvars):
+    """The blocks of two or more members of a random partition of nvars
+    variables."""
+    order = draw(st.permutations(range(nvars)))
+    cuts = sorted(draw(st.sets(st.integers(1, nvars - 1))))
+    blocks = [tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, nvars])]
+    return tuple(sorted(b for b in blocks if len(b) > 1))
+
+
 @st.composite
 def orbit_cases(draw):
     """A canonical generator r with entries 0 to 3, one to three
@@ -1044,10 +1067,7 @@ def orbit_cases(draw):
     a random partition of 4 to 7 variables: repeated and zero entries
     within a class, and bounds equal to entries, are common."""
     nvars = draw(st.integers(4, 7))
-    order = draw(st.permutations(range(nvars)))
-    cuts = sorted(draw(st.sets(st.integers(1, nvars - 1))))
-    blocks = [tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, nvars])]
-    classes = tuple(sorted(b for b in blocks if len(b) > 1))
+    classes = _draw_classes(draw, nvars)
 
     def canonical(v):
         return monomials._canonical(v, classes)
@@ -1073,6 +1093,35 @@ def test_missed_members_are_the_members_some_vector_misses(case):
     assert monomials._missed_members(r, cs, classes) == _members_missed_by_some(
         r, cs, classes
     )
+
+
+@st.composite
+def packed_sort_cases(draw):
+    """A vector of 2 to 8 entries from 0 to top, for top 1 to 15, the
+    classes of a random partition with at least one class, and top."""
+    top = draw(st.integers(1, 15))
+    nvars = draw(st.integers(2, 8))
+    classes = _draw_classes(draw, nvars)
+    assume(classes)
+    return draw(st.tuples(*[st.integers(0, top)] * nvars)), classes, top
+
+
+@settings(max_examples=200)
+# Entries at top, which fill a field's exponent bits, in one class.
+@example(((7, 0, 7, 3), ((0, 1, 2, 3),), 7))
+# Two classes, one already sorted.
+@example(((1, 15, 15, 2, 0), ((0, 2, 3), (1, 4)), 15))
+@given(packed_sort_cases())
+def test_packed_class_sort_is_canonical(case):
+    # The packed sort keeps the guard bits and equals `_canonical` on
+    # the unpacked vector.
+    v, classes, top = case
+    width, H = monomials._layout(top, len(v))
+    low = (1 << (width - 1)) - 1
+    touched = [[i * width for i in cls] for cls in classes]
+    expected = monomials._pack(monomials._canonical(v, classes), width) | H
+    packed = monomials._canonical_packed(monomials._pack(v, width) | H, touched, low)
+    assert packed == expected
 
 
 @st.composite
@@ -1236,13 +1285,18 @@ class TestStaircaseKernel:
 def _chain_agrees(I, s_max):
     """The power chain equals Ass of every power built and decomposed on
     its own.  Returns whether the box of I^s_max lies within the
-    staircase limit, where the chain must build no power."""
-    ideal_power.cache_clear()
-    got = associated_primes_of_powers(I, s_max)
+    staircase limit, where the chain must build no power; past it the
+    chain takes one step per power after I.  It never reads the memo of
+    `ideal_power`."""
+    memo = ideal_power.cache_info()
+    with mock.patch.object(
+        monomials, "_power_step", wraps=monomials._power_step
+    ) as step:
+        got = associated_primes_of_powers(I, s_max)
+    assert ideal_power.cache_info() == memo, I
     box = math.prod(1 + s_max * max(column) for column in zip(*I.gens))
     inside = box <= monomials._STAIRCASE_MAX_BITS
-    assert (ideal_power.cache_info().misses == 0) == (inside or s_max == 1), I
-    ideal_power.cache_clear()
+    assert step.call_count == (0 if inside else s_max - 1), I
     expected = [associated_primes(ideal_power(I, s)) for s in range(1, s_max + 1)]
     assert got == expected, (I, s_max)
     return inside

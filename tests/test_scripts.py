@@ -141,6 +141,37 @@ def test_cli_digest_on_a_subset(tmp_path, monkeypatch):
     assert err.endswith("the following arguments are required: command\n")
 
 
+# The lines `scripts/cli_digest.py` prints for its six subcommand
+# groups.  A change to any of their outputs must update these on
+# purpose.  The `usage` line is left out: argparse wraps help texts
+# differently across Python versions.
+CLI_DIGEST_LINES = [
+    "sweep        202  exit0=156 exit1=46         "
+    "590f6e9daad3a71bc03af08fd1c91ea4b189da3c35cd870c9ba09cea902ba04d",
+    "ideal        164  exit0=126 exit1=38         "
+    "94ddc8f589dd03f6cf294445f7efe7322026ae79d8777402e89d74cdf8dcbf79",
+    "ass          620  exit0=452 exit1=168        "
+    "0f7cb76aad503d6841e5d566484f977f75701077e45c3b6249fdee3e9de21faa",
+    "stability    164  exit0=126 exit1=38         "
+    "6d8730e379a9d795be347dc8af8f301ef004cea5842115fd6999ef25a43ccb62",
+    "gap           24  exit0=24                   "
+    "6ee6ccff01d31d23b5eddec91b97b58d8f95b37d511f24c62c3635cf345ff571",
+    "witness      616  exit0=198 exit1=418        "
+    "3d931b95a7bfc8648d8808c3b37e90dc90da67474fbb3c93ef4a0c7da05cc3b7",
+]
+
+
+def test_cli_digest_is_pinned(monkeypatch, capsys):
+    # The script sets COLUMNS and changes directory; both are restored.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(os.getcwd())
+    load_script("cli_digest").main()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("usage")] == (
+        CLI_DIGEST_LINES
+    )
+
+
 def test_readme_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     assert blocks
