@@ -23,11 +23,10 @@ from .graphs import Graph, enumerate_induced_stars, star_graph
 from .monomials import (
     MonomialIdeal,
     MonomialPrime,
-    associated_primes,
     associated_primes_of_powers,
-    contains,
-    ideal_power,
     monomial_str,
+    power_contains,
+    power_primes,
 )
 
 
@@ -110,11 +109,12 @@ def cover_ideal_checked(g: Graph, t: int) -> MonomialIdeal:
 def ass_of_power(g: Graph, t: int, s: int, mode: str = "direct") -> AssReport:
     """Ass(J_t(g)^s) by decomposition or by localization.
 
-    Direct mode decomposes the s-th power itself.  Localized mode tests,
-    for every connected vertex subset P, whether the maximal ideal of
-    the induced subgraph g_P is associated to J_t(g_P)^s on the smaller
-    ring; supports inducing disconnected subgraphs never carry an
-    associated prime, which is what licenses the pruning.
+    Direct mode reads the s-th power itself (see `power_primes`).
+    Localized mode tests, for every connected vertex subset P, whether
+    the maximal ideal of the induced subgraph g_P is associated to
+    J_t(g_P)^s on the smaller ring; supports inducing disconnected
+    subgraphs never carry an associated prime, which is what licenses
+    the pruning.
     """
     _check_positive("t", t)
     _check_positive("s", s)
@@ -122,8 +122,7 @@ def ass_of_power(g: Graph, t: int, s: int, mode: str = "direct") -> AssReport:
         raise ValueError(f"unknown mode {mode!r}")
     ideal = cover_ideal_checked(g, t)
     if mode == "direct":
-        primes = associated_primes(ideal_power(ideal, s))
-        return AssReport(g.vertices, t, s, "oracle", primes)
+        return AssReport(g.vertices, t, s, "oracle", power_primes(ideal, s))
     found = []
     for size in range(1, g.n + 1):
         for subset in itertools.combinations(g.vertices, size):
@@ -139,7 +138,7 @@ def _full_prime_associated(sub: Graph, t: int, s: int) -> bool:
     if ideal.is_unit:
         return False
     full = MonomialPrime(frozenset(range(sub.n)))
-    return full in associated_primes(ideal_power(ideal, s))
+    return full in power_primes(ideal, s)
 
 
 def _check_star_cell(n: int, t: int, s: int):
@@ -265,18 +264,20 @@ def oracle_sweep(g: Graph, t: int, s_max: int | None = None) -> StabilityReport:
     return empirical_astab(cover_ideal_checked(g, t), s_max)
 
 
-def _witness_checks(Js: MonomialIdeal, T: tuple[int, ...]) -> tuple[bool, bool]:
-    """(T not in Js, Js : T equals the maximal ideal), decided by
-    membership on Js as it is held.
+def _witness_checks(
+    J: MonomialIdeal, s: int, T: tuple[int, ...]
+) -> tuple[bool, bool]:
+    """(T not in J^s, J^s : T equals the maximal ideal), decided by one
+    membership test of T and every x_i T in J^s (see `power_contains`).
 
-    Js : T contains every variable exactly when each x_i T lies in Js,
+    J^s : T contains every variable exactly when each x_i T lies in J^s,
     and it is proper exactly when T does not; a proper monomial ideal
     that contains every variable is the maximal ideal.
     """
-    not_in = not contains(Js, T)
-    return not_in, not_in and all(
-        contains(Js, T[:i] + (T[i] + 1,) + T[i + 1 :]) for i in range(len(T))
-    )
+    probes = [T] + [T[:i] + (T[i] + 1,) + T[i + 1 :] for i in range(len(T))]
+    inside = power_contains(J, s, probes)
+    not_in = not inside[0]
+    return not_in, not_in and all(inside[1:])
 
 
 def _divides_annihilator_bound(T: tuple[int, ...], s: int) -> bool:
@@ -293,8 +294,8 @@ def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:
     With s0 the least power at which the maximal ideal appears and
     e = s - s0, the witness is z^e times the product of the first
     s0(n-t+1)-1 terms of the repeating sequence x1, x2, ..., xn, x1, ...
-    Both defining checks are decided on the oracle's power and recorded,
-    together with the annihilator divisibility bound.
+    Both defining checks are decided by membership in the power and
+    recorded, together with the annihilator divisibility bound.
     """
     _check_positive("n", n)
     _check_positive("s", s)
@@ -314,7 +315,7 @@ def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:
     for k in range(length):
         exps[1 + k % n] += 1
     T = tuple(exps)
-    not_in, colon_ok = _witness_checks(ideal_power(star_generators(n, t), s), T)
+    not_in, colon_ok = _witness_checks(star_generators(n, t), s, T)
     return WitnessCertificate(
         T=T,
         s=s,
@@ -344,7 +345,7 @@ def verify_annihilator_divisibility(
     J = star_generators(n, t)
     if len(T) != n + 1:
         raise ValueError("witness lives in the wrong number of variables")
-    not_in, colon_ok = _witness_checks(ideal_power(J, s), T)
+    not_in, colon_ok = _witness_checks(J, s, T)
     if not not_in:
         raise ValueError(
             f"{monomial_str(T, J.ambient)} lies in the power; not a witness"

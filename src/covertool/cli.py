@@ -32,9 +32,8 @@ from .hypercovers import hypergraph_cover_ideal, verify_gap
 from .monomials import (
     MonomialIdeal,
     alexander_dual,
-    associated_primes,
-    ideal_power,
     monomial_str,
+    power_primes,
     prime_str,
     sorted_primes,
 )
@@ -189,7 +188,7 @@ def cmd_ass(args) -> int:
         # cover ideal is never the unit ideal.
         ideal = _cover_ideal(obj, args.t)
         _check_positive("s", args.s)
-        primes = associated_primes(ideal_power(ideal, args.s))
+        primes = power_primes(ideal, args.s)
         payload["ambient"] = list(obj.vertices)
         payload["direct"] = _primes_json(primes, obj.vertices)
         lines.append(f"direct: {_primes_text(primes, obj.vertices)}")

@@ -438,14 +438,18 @@ def _power_step(power: MonomialIdeal, I: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.ambient, None, (classes, _minimalize_exps(prods)))
 
 
-@lru_cache(maxsize=None)
-def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
-    """I^s, minimalized after each multiplication: s - 1 steps of
-    `_power_step` from I."""
+def _check_power(s):
     if type(s) is not int:
         raise ValueError(f"power {s!r} is not an int")
     if s < 0:
         raise ValueError("negative power")
+
+
+@lru_cache(maxsize=None)
+def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
+    """I^s, minimalized after each multiplication: s - 1 steps of
+    `_power_step` from I."""
+    _check_power(s)
     if s == 0:
         return unit_ideal(I.ambient)
     power = I
@@ -831,43 +835,100 @@ def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
     return _primes(*_decompose(I))
 
 
+def _power_box(gens, s: int) -> Box | None:
+    """The box of I^s, radix s * m_i + 1 on each variable with m_i its
+    largest exponent in I, or None past `_STAIRCASE_MAX_BITS` points,
+    the limit `_decompose` sets for one ideal."""
+    radix = [1 + s * x for x in map(max, zip(*gens))]
+    return Box(radix) if math.prod(radix) <= _STAIRCASE_MAX_BITS else None
+
+
+def _box_powers(box: Box, gens):
+    """U_0, U_1, U_2, ...: the points in box of I^0, I, I^2, ..., for I
+    generated by gens, from the whole box by one `Shifts` step per
+    power.  A generator that does not fit the box divides no point of
+    it, so it is left out."""
+    fit = [g for g in gens if all(map(operator.lt, g, box.radix))]
+    shift = Shifts(box, fit) if fit else lambda U: 0
+    U = box.full
+    while True:
+        yield U
+        U = shift(U)
+
+
+def _box_primes(box: Box, classes):
+    """The reader of Ass off the points in box of a power of an ideal
+    with these classes, which fix all its powers (see `corners`)."""
+    tests, top = box.corner_tests(classes), max(box.radix)
+    return lambda U: _primes(classes, top, corners(box, U, tests, top))
+
+
 def associated_primes_of_powers(
     I: MonomialIdeal, s_max: int
 ) -> list[frozenset[MonomialPrime]]:
     """Ass(I^s) for s = 1..s_max, walking the powers on one staircase.
 
-    No power is built while the box of I^s_max, radix s_max * m_i + 1 on
-    each variable with m_i its largest exponent in I, has at most
-    `_STAIRCASE_MAX_BITS` points, the limit `_decompose` sets for one
-    ideal.  The points of I^s in that one box come from those of
-    I^(s-1) by one shift per generator of I (see `Shifts`), starting
-    from the whole box, I^0, and `corners` reads each power on the
-    classes of I, which fix all its powers.  A larger box, or a single
-    power, steps each power from the one before (see `_power_step`),
-    decomposes it and drops it.
+    No power is built while the box of I^s_max (see `_power_box`) is
+    within the staircase limit: the points of every I^s in that one box
+    come from `_box_powers`, and each is read on the classes of I.  A
+    larger box, or a single power, steps each power from the one before
+    (see `_power_step`), decomposes it and drops it.
     """
     _check_proper(I)
     if type(s_max) is not int or s_max < 1:
         raise ValueError(f"s_max must be a positive integer, got {s_max}")
     gens = I.gens
-    radix = [1 + s_max * x for x in map(max, zip(*gens))]
-    if s_max == 1 or math.prod(radix) > _STAIRCASE_MAX_BITS:
+    box = _power_box(gens, s_max) if s_max > 1 else None
+    if box is None:
         per_power, power = [associated_primes(I)], I
         for _ in range(s_max - 1):
             power = _power_step(power, I)
             per_power.append(associated_primes(power))
         return per_power
+    read = _box_primes(box, _classes(gens, I.nvars))
+    return [read(U) for U in itertools.islice(_box_powers(box, gens), 1, s_max + 1)]
+
+
+def power_primes(I: MonomialIdeal, s: int) -> frozenset[MonomialPrime]:
+    """Ass(I^s), building no power while the box of I^s is within the
+    staircase limit: its points are the s-th of `_box_powers`, read as
+    `associated_primes_of_powers` reads every power.  I itself, and a
+    power past the limit, go through `associated_primes`."""
+    _check_power(s)
+    _check_proper(I if s else unit_ideal(I.ambient))  # I^0 is the unit ideal
+    box = _power_box(I.gens, s) if s > 1 else None
+    if box is None:
+        return associated_primes(ideal_power(I, s) if s > 1 else I)
+    U = next(itertools.islice(_box_powers(box, I.gens), s, None))
+    return _box_primes(box, _classes(I.gens, I.nvars))(U)
+
+
+def power_contains(I: MonomialIdeal, s: int, points) -> list[bool]:
+    """Whether each of points lies in I^s, building no power while the
+    box sized to the points is within the staircase limit.
+
+    That box has radix 1 + min(s * m_i, the largest x_i of the points),
+    with m_i the largest exponent of x_i in I, and each point is looked
+    up with every entry clamped to radix_i - 1.  The clamp keeps
+    membership, since no generator of I^s has an x_i past s * m_i, and
+    the points of I^s in any box are exact (see `Shifts`).  A larger box
+    asks `contains` of `ideal_power`.
+    """
+    _check_power(s)
+    points = list(points)  # an iterator would be spent by the checks
+    for x in points:
+        _check_exponents(x, I.nvars)
+    if not points:
+        return []
+    tops = [max(column) for column in zip(*I.gens)] or [0] * I.nvars
+    radix = [1 + min(s * m, q) for m, q in zip(tops, map(max, zip(*points)))]
+    if math.prod(radix) > _STAIRCASE_MAX_BITS:
+        power = ideal_power(I, s)
+        return [contains(power, x) for x in points]
     box = Box(radix)
-    classes = _classes(gens, I.nvars)
-    tests = box.corner_tests(classes)
-    top = max(radix)
-    shift = Shifts(box, gens)
-    U = box.full
-    per_power = []
-    for _ in range(s_max):
-        U = shift(U)
-        per_power.append(_primes(classes, top, corners(box, U, tests, top)))
-    return per_power
+    U = next(itertools.islice(_box_powers(box, I.gens), s, None))
+    clamped = ([min(a, r - 1) for a, r in zip(x, radix)] for x in points)
+    return [bool(U >> box.offset(x) & 1) for x in clamped]
 
 
 def witness_search(I: MonomialIdeal, P: MonomialPrime) -> tuple[int, ...] | None:

@@ -93,8 +93,13 @@ class Box:
 
 class Shifts:
     """U -> OR_g ((U & fit_g) << offset(g)) over the generators g of an
-    ideal I, on sets U of points of `box`: the points of I * J from those
-    of J, when the box holds the generators of I * J.
+    ideal I that fit `box`, on sets U of points of it: the points of
+    I * J in the box from those of J.
+
+    This is exact in any box, not only one that holds the generators of
+    I * J: x is in I * J exactly when x - g is in J for some generator g
+    of I, and x - g <= x lies in the box whenever x does.  A generator
+    that does not fit the box divides no point of it, and is not passed.
 
     fit_g, the points x with x + g still in the box, is the AND of one
     mask x_i < radix_i - g_i per variable of g, each built once; without

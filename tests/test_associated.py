@@ -301,7 +301,8 @@ class TestWitness:
                     star_graph(n).vertices
                 )
                 for s in range(s0, s0 + 3):
-                    Js = ideal_power(star_generators(n, t), s)
+                    J = star_generators(n, t)
+                    Js = ideal_power(J, s)  # the reference: contains and colon
                     T = build_star_witness(n, t, s).T
                     probes = [T]
                     for i in range(n + 1):
@@ -310,7 +311,24 @@ class TestWitness:
                                 probes.append(T[:i] + (T[i] + step,) + T[i + 1 :])
                     for probe in probes:
                         want = (not contains(Js, probe), colon(Js, probe) == m)
-                        assert _witness_checks(Js, probe) == want, (n, t, s, probe)
+                        assert _witness_checks(J, s, probe) == want, (n, t, s, probe)
+
+    def test_membership_checks_agree_with_colon_beyond_stars(self):
+        # Ideals with unequal exponents, where one x_i*T alone can keep
+        # the colon from the maximal ideal; every T in a box past J^s.
+        ambient = ("a", "b", "c")
+        m = MonomialPrime(frozenset(range(3))).as_ideal(ambient)
+        for gens in (
+            [(2, 0, 0), (0, 1, 0), (0, 0, 3)],
+            [(2, 1, 0), (0, 2, 1), (1, 0, 2)],
+            [(1, 1, 0), (0, 0, 2)],
+        ):
+            J = minimalize(ambient, gens)
+            for s in (1, 2):
+                Js = ideal_power(J, s)
+                for T in itertools.product(range(3 * s + 1), repeat=3):
+                    want = (not contains(Js, T), colon(Js, T) == m)
+                    assert _witness_checks(J, s, T) == want, (gens, s, T)
 
 
 class TestAnnihilatorDivisibility:

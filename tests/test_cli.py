@@ -32,6 +32,19 @@ H1 = "vertices: z x1 x2 x3\nedge: z x1 x2\nedge: z x1 x3\nedge: z x2 x3\n"
 LEAVES7 = [f"x{i}" for i in range(1, 8)]
 STAR7 = "vertices: z " + " ".join(LEAVES7) + "\n"
 STAR7 += "".join(f"edge: z {x}\n" for x in LEAVES7)
+STAR6 = "vertices: z " + " ".join(LEAVES7[:6]) + "\n"
+STAR6 += "".join(f"edge: z {x}\n" for x in LEAVES7[:6])
+
+
+def power_steps(capsys, *argv):
+    """Run one command from a cold `ideal_power` memo: (exit code, the
+    `_power_step` calls it took, the powers it left in the memo)."""
+    monomials.ideal_power.cache_clear()
+    with mock.patch.object(
+        monomials, "_power_step", wraps=monomials._power_step
+    ) as step:
+        code, _, _ = run(capsys, *argv)
+    return code, step.call_count, monomials.ideal_power.cache_info().currsize
 
 
 @pytest.fixture
@@ -159,6 +172,24 @@ class TestAss:
         assert out.count("<") == 3
 
 
+    def test_single_power_inside_the_limit_builds_none(self, graph_file, capsys):
+        # J_3 of K_{1,7} at s = 3: the box of J^3 has 4^8 points; the
+        # localized pass reads smaller boxes still.  H1 at s = 2: 3^4.
+        star, hyper = graph_file(STAR7), graph_file(H1, "h1.graph")
+        for argv in (
+            ["ass", "--t", "3", "--s", "3", star],
+            ["ass", "--t", "3", "--s", "3", "--mode", "both", star],
+            ["ass", "--s", "2", hyper],
+        ):
+            assert power_steps(capsys, *argv) == (0, 0, 0), argv
+
+    def test_single_power_past_the_limit_is_built(self, graph_file, capsys):
+        # J_2 of K_{1,6} at s = 5: the box of J^5 has 6^7 points.
+        argv = ["ass", "--t", "2", "--s", "5", "--predict", graph_file(STAR6)]
+        code, steps, _ = power_steps(capsys, *argv)
+        assert (code, steps) == (0, 4)
+
+
 class TestStability:
     def test_star4_certified(self, graph_file, capsys):
         code, out, _ = run(
@@ -236,6 +267,17 @@ class TestWitness:
         assert code == 1
         assert "s(t-1) >= n-1" in err
 
+    def test_membership_builds_no_power_inside_the_limit(self, capsys):
+        # The probes T and x_i*T span a box of 3 * 4^7 points.
+        argv = ["witness", "--n", "7", "--t", "3", "--s", "4"]
+        assert power_steps(capsys, *argv) == (0, 0, 0)
+
+    def test_membership_past_the_limit_builds_the_power(self, capsys):
+        # T = (x1...x7)^5: the probes span 2 * 7^7 points.
+        argv = ["witness", "--n", "7", "--t", "2", "--s", "6"]
+        code, steps, _ = power_steps(capsys, *argv)
+        assert (code, steps) == (0, 5)
+
 
 class TestGap:
     def test_m1_equality(self, capsys):
@@ -304,7 +346,7 @@ class TestSweep:
         from covertool import associated
 
         calls = []
-        for name in ("associated_primes", "associated_primes_of_powers"):
+        for name in ("power_primes", "associated_primes_of_powers"):
             oracle = getattr(associated, name)
 
             def spy(ideal, *args, oracle=oracle):

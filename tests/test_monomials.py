@@ -61,6 +61,8 @@ from covertool.monomials import (
     minimalize,
     monomial_from_str,
     monomial_str,
+    power_contains,
+    power_primes,
     prime_str,
     sorted_primes,
     unit_ideal,
@@ -1311,6 +1313,18 @@ _CHAIN_EXAMPLES = [
 ]
 
 
+# The two ideals at the box limit: the box of GATE_INSIDE^3 is 64^3
+# points, exactly the limit, and that of GATE_PAST^2 is 5 * 13 * 37 * 109,
+# one more.
+GATE_INSIDE = minimalize(
+    ("a", "b", "c"), [(21, 0, 0), (0, 21, 0), (0, 0, 21), (7, 7, 7)]
+)
+GATE_PAST = minimalize(
+    ("a", "b", "c", "d"),
+    [(2, 0, 0, 0), (0, 6, 0, 0), (0, 0, 18, 0), (0, 0, 0, 54), (1, 3, 9, 27)],
+)
+
+
 class TestPowerChain:
     def test_every_tree_up_to_eight_vertices(self):
         inside = outside = 0
@@ -1373,14 +1387,8 @@ class TestPowerChain:
             assert associated_primes_of_powers(I, 1) == [associated_primes(I)]
 
     def test_gate_at_the_box_limit(self):
-        # The box of I^3 is 64^3 points, exactly the limit; that of J^2
-        # is 5 * 13 * 37 * 109, one more, and takes the powers from
-        # ideal_power.
-        I = minimalize(("a", "b", "c"), [(21, 0, 0), (0, 21, 0), (0, 0, 21), (7, 7, 7)])
-        J = minimalize(
-            ("a", "b", "c", "d"),
-            [(2, 0, 0, 0), (0, 6, 0, 0), (0, 0, 18, 0), (0, 0, 0, 54), (1, 3, 9, 27)],
-        )
+        # Past the limit the chain steps its powers.
+        I, J = GATE_INSIDE, GATE_PAST
         limit = monomials._STAIRCASE_MAX_BITS
         assert math.prod(1 + 3 * max(column) for column in zip(*I.gens)) == limit
         assert math.prod(1 + 2 * max(column) for column in zip(*J.gens)) == limit + 1
@@ -1393,6 +1401,144 @@ class TestPowerChain:
                 associated_primes_of_powers(bad, 2)
         with pytest.raises(ValueError, match="s_max must be a positive integer"):
             associated_primes_of_powers(star_generators(3, 2), 0)
+
+
+def _single_agrees(I, s):
+    """Ass of the one power I^s equals Ass of the power built and
+    decomposed.  Returns whether I^s is I or its box lies within the
+    staircase limit, where no power may be built and the memo of
+    `ideal_power` stays empty; past it the power takes s - 1 steps."""
+    ideal_power.cache_clear()
+    with mock.patch.object(
+        monomials, "_power_step", wraps=monomials._power_step
+    ) as step:
+        got = power_primes(I, s)
+    box = math.prod(1 + s * max(column) for column in zip(*I.gens))
+    inside = s == 1 or box <= monomials._STAIRCASE_MAX_BITS
+    if inside:
+        assert step.call_count == 0 and ideal_power.cache_info().currsize == 0, I
+    else:
+        assert step.call_count == s - 1, I
+    assert got == associated_primes(ideal_power(I, s)), (I, s)
+    return inside
+
+
+class TestSinglePower:
+    @settings(max_examples=40, deadline=None)
+    @example((_CHAIN_EXAMPLES[0], []), 3)
+    @example((_CHAIN_EXAMPLES[1], [(0, 1)]), 2)
+    @given(
+        st.one_of(
+            symmetric_ideals_strategy(),
+            ideals_strategy().map(lambda I: (I, [])),
+        ),
+        st.integers(1, 3),
+    )
+    def test_matches_the_built_power(self, case, s):
+        assert _single_agrees(case[0], s)
+
+    def test_star_cells(self):
+        inside = outside = 0
+        for n in range(2, 7):
+            for t in range(1, n + 1):
+                J = star_generators(n, t)
+                for s in range(1, astab_tree(star_graph(n), t) + 2):
+                    if _single_agrees(J, s):
+                        inside += 1
+                    else:
+                        outside += 1
+        # Past the limit: K_{1,6} at t = 2, s = 5 and 6 (boxes 6^7, 7^7).
+        assert (inside, outside) == (55, 2)
+
+    def test_gate_at_the_box_limit(self):
+        assert _single_agrees(GATE_INSIDE, 3)
+        assert not _single_agrees(GATE_PAST, 2)
+
+    def test_variable_in_no_generator(self):
+        I = minimalize(("a", "b", "c", "d"), [(1, 0, 2, 0), (2, 0, 1, 1), (0, 0, 3, 2)])
+        assert _single_agrees(I, 3)
+
+    def test_rejects_a_bad_power(self):
+        # The memo holds I^2 first: `ideal_power(I, 2.0)` would find it
+        # under the equal key (I, 2), so the check must come before it.
+        for I in (GATE_INSIDE, GATE_PAST):
+            ideal_power(I, 2)
+            for s in (2.0, 2.5, True, "2", None):
+                message = re.escape(f"power {s!r} is not an int")
+                with pytest.raises(ValueError, match=message):
+                    power_primes(I, s)
+                with pytest.raises(ValueError, match=message):
+                    power_contains(I, s, [(0,) * I.nvars])
+            for entry in (power_primes, lambda I, s: power_contains(I, s, [])):
+                with pytest.raises(ValueError, match="negative power"):
+                    entry(I, -1)
+            with pytest.raises(ValueError, match="proper nonzero"):
+                power_primes(I, 0)
+        for bad in (unit_ideal(X4), zero_ideal(X4)):
+            with pytest.raises(ValueError, match="proper nonzero"):
+                power_primes(bad, 2)
+
+    def test_rejects_a_bad_point(self):
+        I = ideal(X4, "x1*x2")
+        for point, message in (
+            ([1, 0, 0, 0], r"\[1, 0, 0, 0\] is not a tuple"),
+            ((1, 0), "does not live in 4 variables"),
+            ((1, -1, 0, 0), "negative exponent"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                power_contains(I, 2, [(0, 0, 0, 0), point])
+
+    def test_generator_past_the_query_box(self):
+        # a^3 does not fit the box of the queries (radix 2 on a), so it
+        # must be left out of the shifts, not shifted by a negative count.
+        I = minimalize(("a", "b"), [(3, 0), (0, 1)])
+        assert power_contains(I, 2, [(1, 0), (0, 1)]) == [False, False]
+        assert power_contains(I, 2, [(1, 1), (0, 2), (3, 1), (6, 0)]) == [
+            False, True, True, True,
+        ]
+
+    def test_membership_past_the_limit(self):
+        # The queries' box is that of the whole power: inside the limit
+        # at GATE_INSIDE^3, one point past it at GATE_PAST^2.
+        for I, s, steps in ((GATE_INSIDE, 3, 0), (GATE_PAST, 2, 1)):
+            tops = tuple(s * max(column) for column in zip(*I.gens))
+            points = [tops, tuple(x - 1 for x in tops), tuple(x // 2 for x in tops)]
+            ideal_power.cache_clear()
+            with mock.patch.object(
+                monomials, "_power_step", wraps=monomials._power_step
+            ) as step:
+                got = power_contains(I, s, points)
+            assert step.call_count == steps, I
+            power = ideal_power(I, s)
+            assert got == [contains(power, x) for x in points], I
+            assert got[0], I
+
+
+@st.composite
+def membership_cases(draw):
+    """An ideal, unit ideal included, with up to two variables in no
+    generator; a power s <= 3; and points up to 10 in each entry, past
+    s * m_i where the query box clamps them."""
+    I = draw(ideals_strategy(allow_trivial=True))
+    absent = draw(st.sets(st.integers(0, NVARS - 1), max_size=2))
+    gens = [tuple(0 if i in absent else x for i, x in enumerate(g)) for g in I.gens]
+    points = st.tuples(*[st.integers(0, 10)] * NVARS)
+    return (
+        minimalize(I.ambient, gens),
+        draw(st.integers(0, 3)),
+        draw(st.lists(points, min_size=1, max_size=6)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@example((minimalize(X4, [(3, 0, 0, 0), (0, 1, 0, 0)]), 2, [(1, 0, 0, 0), (0, 1, 0, 0)]))
+@example((minimalize(X4, [(2, 1, 0, 0), (0, 2, 0, 3)]), 1, [(9, 9, 9, 9), (2, 0, 0, 0)]))
+@example((minimalize(X4, [(1, 1, 1, 0)]), 0, [(0, 0, 0, 0), (5, 0, 0, 7)]))
+@given(membership_cases())
+def test_power_membership_matches_the_built_power(case):
+    I, s, points = case
+    power = ideal_power(I, s)
+    assert power_contains(I, s, points) == [contains(power, x) for x in points]
 
 
 @given(ideals_strategy())
