@@ -26,7 +26,7 @@ from .monomials import (
 
 
 def _check_positive(name: str, value: int):
-    if value < 1:
+    if type(value) is not int or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
 
 

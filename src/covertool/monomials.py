@@ -69,7 +69,7 @@ class IrreducibleComponent:
         )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set.
 
@@ -77,41 +77,13 @@ class MonomialIdeal:
     ambient in order; the all-zero tuple is 1.  Generators are sorted
     by (total degree, exponent vector); the unit ideal is {1} and the
     zero ideal has no generators.  Build instances through `minimalize`
-    or the ideal operations, not directly.
-
-    A power built by `ideal_power` holds, in `_reps`, the classes of
-    interchangeable variables of its base and its canonical generators,
-    one per orbit (see `_classes`); `gens` is expanded from them on
-    first read and kept.  The next power, `associated_primes`,
-    `contains` and `colon` read `_reps` and never force the expansion.
-    Equality, hashing and repr go through `gens`, so `_reps` is not
-    part of the ideal's value.
+    or the ideal operations, not directly.  The engine holds the powers
+    it builds apart from this class, one generator per orbit (see
+    `_powers`).
     """
 
     ambient: tuple[str, ...]
-    _gens: tuple[tuple[int, ...], ...] | None
-    _reps: tuple | None = None
-
-    @property
-    def gens(self) -> tuple[tuple[int, ...], ...]:
-        if self._gens is None:
-            classes, reps = self._reps
-            orbits = _orbits(reps, classes)
-            if len(orbits) > len(reps):  # the expansion broke the canonical order
-                orbits = sorted(orbits, key=_canon_key)
-            object.__setattr__(self, "_gens", tuple(orbits))
-        return self._gens
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ambient, self.gens) == (other.ambient, other.gens)
-
-    def __hash__(self):
-        return hash((self.ambient, self.gens))
-
-    def __repr__(self):
-        return f"MonomialIdeal(ambient={self.ambient!r}, gens={self.gens!r})"
+    gens: tuple[tuple[int, ...], ...]
 
     @property
     def nvars(self) -> int:
@@ -119,18 +91,15 @@ class MonomialIdeal:
 
     @property
     def is_zero(self) -> bool:
-        _, reps = self._reps or ((), self.gens)
-        return not reps
+        return not self.gens
 
     @property
     def is_unit(self) -> bool:
-        _, reps = self._reps or ((), self.gens)
-        return len(reps) == 1 and not any(reps[0])
+        return len(self.gens) == 1 and not any(self.gens[0])
 
     @property
     def is_squarefree(self) -> bool:
-        _, reps = self._reps or ((), self.gens)
-        return all(e <= 1 for g in reps for e in g)
+        return all(e <= 1 for g in self.gens for e in g)
 
     def __str__(self) -> str:
         return ideal_str(self)
@@ -408,25 +377,26 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.ambient, _minimalize_exps(prods))
 
 
-def _held_reps(I: MonomialIdeal):
-    """The classes of I and its canonical generators, one per orbit:
-    those a power holds, or else found from the generators."""
-    if I._reps is not None:
-        return I._reps
-    gens = I.gens
-    classes = _classes(gens, I.nvars)
-    if classes:
-        gens = [g for g in gens if _canonical(g, classes) == g]
-    return classes, gens
+# The engine holds the powers of an ideal I as pairs (classes, reps):
+# the classes of I, which fix all its powers (see `_classes`), and the
+# power's canonical generators, one per orbit.  I itself is the pair
+# (None, I.gens), whose classes are not yet known.
+
+def _with_classes(nvars: int, classes, reps):
+    """The pair with its classes: as held, or, for classes None, found
+    from the generators reps, of which the canonical ones are kept."""
+    if classes is None:
+        classes = _classes(reps, nvars)
+        if classes:
+            reps = [g for g in reps if _canonical(g, classes) == g]
+    return classes, reps
 
 
-def _power_step(power: MonomialIdeal, I: MonomialIdeal) -> MonomialIdeal:
-    """power * I, for a power of I: the canonical products of the
-    generators power holds, one per orbit, with every generator of I,
-    minimalized.  The product holds the classes (of the first base, for
-    a power of a power) and its canonical generators, which the next
-    step, `_decompose`, `contains` and `colon` read; `gens` expands them."""
-    classes, reps = _held_reps(power)
+def _power_step(classes, reps, I: MonomialIdeal):
+    """The pair of power * I, for the pair of a power of I: the canonical
+    products of reps with every generator of I, minimalized, under the
+    classes of I."""
+    classes, reps = _with_classes(I.nvars, classes, reps)
     # A product of a canonical r with h can be out of order only in the
     # classes that meet the support of h.
     factors = [(h, [c for c in classes if any(h[i] for i in c)]) for h in I.gens]
@@ -435,7 +405,21 @@ def _power_step(power: MonomialIdeal, I: MonomialIdeal) -> MonomialIdeal:
         for r in reps
         for h, touched in factors
     }
-    return MonomialIdeal(I.ambient, None, (classes, _minimalize_exps(prods)))
+    return classes, _minimalize_exps(prods)
+
+
+def _powers(I: MonomialIdeal):
+    """The pairs of I, I^2, I^3, ...: I as it is, then each power
+    stepped from the one before by `_power_step`."""
+    pair = None, I.gens
+    while True:
+        yield pair
+        pair = _power_step(*pair, I)
+
+
+def _power(I: MonomialIdeal, s: int):
+    """The pair of I^s, for s >= 1: s - 1 steps from I."""
+    return next(itertools.islice(_powers(I), s - 1, None))
 
 
 def _check_power(s):
@@ -445,17 +429,19 @@ def _check_power(s):
         raise ValueError("negative power")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
-    """I^s, minimalized after each multiplication: s - 1 steps of
-    `_power_step` from I."""
+    """I^s, minimalized after each multiplication: the pair of I^s (see
+    `_powers`) with its orbits expanded, in canonical order.  A memo for
+    library callers; the engine reads the pairs and never calls it."""
     _check_power(s)
     if s == 0:
         return unit_ideal(I.ambient)
-    power = I
-    for _ in range(s - 1):
-        power = _power_step(power, I)
-    return power
+    classes, reps = _power(I, s)
+    orbits = _orbits(reps, classes or ())
+    if len(orbits) > len(reps):  # the expansion broke the canonical order
+        orbits = sorted(orbits, key=_canon_key)
+    return MonomialIdeal(I.ambient, tuple(orbits))
 
 
 def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -467,20 +453,21 @@ def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 def colon(I: MonomialIdeal, t: tuple[int, ...]) -> MonomialIdeal:
     """The quotient I : <t>, computed generator by generator."""
     _check_exponents(t, I.nvars)
-    classes, reps = I._reps or ((), I.gens)
-    quotients = {
-        tuple(map(operator.sub, map(max, g, t), t)) for g in _orbits(reps, classes)
-    }
+    quotients = {tuple(map(operator.sub, map(max, g, t), t)) for g in I.gens}
     return MonomialIdeal(I.ambient, _minimalize_exps(quotients))
 
 
-def contains(I: MonomialIdeal, m: tuple[int, ...]) -> bool:
-    """Whether m lies in I: some generator of I divides it, which for a
-    canonical generator is some member of its orbit (see `_classes`)."""
-    _check_exponents(m, I.nvars)
-    classes, reps = I._reps or ((), I.gens)
-    m = _canonical(m, classes)
+def _pair_contains(classes, reps, m) -> bool:
+    """Whether m lies in the ideal of a pair: some generator divides it,
+    which for a canonical generator is some member of its orbit."""
+    m = _canonical(m, classes or ())
     return any(all(map(operator.le, g, m)) for g in reps)
+
+
+def contains(I: MonomialIdeal, m: tuple[int, ...]) -> bool:
+    """Whether m lies in I: some generator of I divides it."""
+    _check_exponents(m, I.nvars)
+    return _pair_contains(None, I.gens, m)
 
 
 def ideal_contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
@@ -745,18 +732,19 @@ def _staircase(reps, classes, top) -> list[tuple[int, ...]]:
     return corners(box, box.upward(reps), box.corner_tests(classes), top)
 
 
-def _decompose(I: MonomialIdeal):
-    """The classes of I, `top` and the canonical component vectors, one
-    per orbit: the one decomposition behind irreducible_decomposition,
-    associated_primes and alexander_dual.
+def _decompose(nvars: int, classes, reps):
+    """The classes, `top` and the canonical component vectors, one per
+    orbit, of the ideal of a pair (see `_powers`): the one decomposition
+    behind irreducible_decomposition, the associated primes and
+    alexander_dual.
 
-    A power starts from the classes and canonical generators it holds.
-    Boxes of at most `_STAIRCASE_MAX_BITS` points are read off the
-    staircase.  Its cost barely grows with the generators, so an ideal
-    that holds no classes is read as it is: on the 240 such ideals of a
-    `tree_sweep` batch, finding their classes first took 24 ms against
-    13-15 ms.  Larger boxes go to the incremental loop, for which such
-    an ideal first finds its classes.
+    A power starts from the classes of its base and its canonical
+    generators.  Boxes of at most `_STAIRCASE_MAX_BITS` points are read
+    off the staircase.  Its cost barely grows with the generators, so an
+    ideal whose classes are not known (None) is read as it is: on the
+    240 such ideals of a `tree_sweep` batch, finding their classes first
+    took 24 ms against 13-15 ms.  Larger boxes go to the incremental
+    loop, for which such an ideal first finds its classes.
 
     Both kernels were timed on 161 cells, powers 2 to 4 of J_2 and J_3
     of 7 or 8 trees on each of 8, 9 and 10 vertices and powers 2 to 5
@@ -779,13 +767,13 @@ def _decompose(I: MonomialIdeal):
     kernels on stars, so the limit stays.  The `tree_sweep` boxes, at
     most 5^7 points, lie far inside it.
     """
-    classes, reps = I._reps or ((), I.gens)
-    radix = _radices(reps, classes)
+    held = classes or ()
+    radix = _radices(reps, held)
     top = max(radix)
     if math.prod(radix) <= _STAIRCASE_MAX_BITS:
-        return classes, top, _staircase(reps, classes, top)
-    classes, reps = _held_reps(I)
-    return classes, top, _components(reps, I.nvars, top, classes)
+        return held, top, _staircase(reps, held, top)
+    classes, reps = _with_classes(nvars, classes, reps)
+    return classes, top, _components(reps, nvars, top, classes)
 
 
 @lru_cache(maxsize=None)
@@ -795,7 +783,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
         raise ValueError("the zero ideal has no irreducible decomposition here")
     if I.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
-    classes, top, vecs = _decompose(I)
+    classes, top, vecs = _decompose(I.nvars, None, I.gens)
     comps = [
         tuple((i, e) for i, e in enumerate(v) if e != top)
         for v in _orbits(vecs, classes)
@@ -832,7 +820,7 @@ def _check_proper(I: MonomialIdeal):
 def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
     """Ass(I): the supports of the irredundant irreducible components."""
     _check_proper(I)
-    return _primes(*_decompose(I))
+    return _primes(*_decompose(I.nvars, None, I.gens))
 
 
 def _power_box(gens, s: int) -> Box | None:
@@ -871,8 +859,8 @@ def associated_primes_of_powers(
     No power is built while the box of I^s_max (see `_power_box`) is
     within the staircase limit: the points of every I^s in that one box
     come from `_box_powers`, and each is read on the classes of I.  A
-    larger box, or a single power, steps each power from the one before
-    (see `_power_step`), decomposes it and drops it.
+    larger box, or a single power, decomposes the pair of each power
+    (see `_powers`), stepped from the one before, and drops it.
     """
     _check_proper(I)
     if type(s_max) is not int or s_max < 1:
@@ -880,11 +868,8 @@ def associated_primes_of_powers(
     gens = I.gens
     box = _power_box(gens, s_max) if s_max > 1 else None
     if box is None:
-        per_power, power = [associated_primes(I)], I
-        for _ in range(s_max - 1):
-            power = _power_step(power, I)
-            per_power.append(associated_primes(power))
-        return per_power
+        pairs = itertools.islice(_powers(I), s_max)
+        return [_primes(*_decompose(I.nvars, *pair)) for pair in pairs]
     read = _box_primes(box, _classes(gens, I.nvars))
     return [read(U) for U in itertools.islice(_box_powers(box, gens), 1, s_max + 1)]
 
@@ -893,12 +878,12 @@ def power_primes(I: MonomialIdeal, s: int) -> frozenset[MonomialPrime]:
     """Ass(I^s), building no power while the box of I^s is within the
     staircase limit: its points are the s-th of `_box_powers`, read as
     `associated_primes_of_powers` reads every power.  I itself, and a
-    power past the limit, go through `associated_primes`."""
+    power past the limit, decompose the pair of I^s (see `_powers`)."""
     _check_power(s)
     _check_proper(I if s else unit_ideal(I.ambient))  # I^0 is the unit ideal
     box = _power_box(I.gens, s) if s > 1 else None
     if box is None:
-        return associated_primes(ideal_power(I, s) if s > 1 else I)
+        return _primes(*_decompose(I.nvars, *_power(I, s)))
     U = next(itertools.islice(_box_powers(box, I.gens), s, None))
     return _box_primes(box, _classes(I.gens, I.nvars))(U)
 
@@ -912,7 +897,7 @@ def power_contains(I: MonomialIdeal, s: int, points) -> list[bool]:
     up with every entry clamped to radix_i - 1.  The clamp keeps
     membership, since no generator of I^s has an x_i past s * m_i, and
     the points of I^s in any box are exact (see `Shifts`).  A larger box
-    asks `contains` of `ideal_power`.
+    tests the points against the pair of I^s (see `_powers`).
     """
     _check_power(s)
     points = list(points)  # an iterator would be spent by the checks
@@ -923,8 +908,8 @@ def power_contains(I: MonomialIdeal, s: int, points) -> list[bool]:
     tops = [max(column) for column in zip(*I.gens)] or [0] * I.nvars
     radix = [1 + min(s * m, q) for m, q in zip(tops, map(max, zip(*points)))]
     if math.prod(radix) > _STAIRCASE_MAX_BITS:
-        power = ideal_power(I, s)
-        return [contains(power, x) for x in points]
+        classes, reps = _power(I, s)
+        return [_pair_contains(classes, reps, x) for x in points]
     box = Box(radix)
     U = next(itertools.islice(_box_powers(box, I.gens), s, None))
     clamped = ([min(a, r - 1) for a, r in zip(x, radix)] for x in points)
@@ -973,7 +958,7 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
         return zero_ideal(I.ambient)
     if I.is_zero:
         return unit_ideal(I.ambient)
-    supports = _supports(*_decompose(I))
+    supports = _supports(*_decompose(I.nvars, None, I.gens))
     return minimalize(I.ambient, [tuple(map(int, s)) for s in supports])
 
 

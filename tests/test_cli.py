@@ -7,6 +7,7 @@ exercised without spawning subprocesses.
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -374,6 +375,30 @@ class TestSweep:
             assert code == 0, argv
             assert step.call_count == 6, argv
             assert monomials.ideal_power.cache_info().currsize == 0, argv
+
+
+def test_past_limit_commands_never_call_ideal_power(graph_file, capsys):
+    # Each command reads a power past the staircase limit.  The engine
+    # holds such powers itself, so ideal_power is only a library memo;
+    # the digests are those of the output when these commands still
+    # built their powers through it.
+    star6, star7 = graph_file(STAR6), graph_file(STAR7, "star7.graph")
+    expected = [
+        (["ass", "--t", "2", "--s", "5", "--predict", star6], "28ad3b1c879224d4"),
+        (
+            ["ass", "--t", "2", "--s", "5", "--predict", "--mode", "both", star6],
+            "f39332958e1fafc0",
+        ),
+        (["witness", "--n", "7", "--t", "2", "--s", "6"], "8e64d80d1bc23be6"),
+        (["sweep", "--t", "2", "--force", star7], "67ae2529c5d70fba"),
+    ]
+    with mock.patch.object(
+        monomials, "ideal_power", side_effect=AssertionError("ideal_power called")
+    ):
+        for argv, digest in expected:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
 
 
 class TestErrorsAndFormats:

@@ -5,7 +5,13 @@ import pytest
 from transversals import edge_ideal, reference_dual
 
 from covertool import monomials
-from covertool.associated import predict_ass_star, tail_contradicts_astab
+from covertool.associated import (
+    astab_tree,
+    max_ideal_in_ass_star,
+    predict_ass_star,
+    predict_ass_tree,
+    tail_contradicts_astab,
+)
 from covertool.catalog import hypergraph_corpus
 from covertool.cli import GAP_FAMILY_CAP
 from covertool.covers import partial_cover_ideal, star_generators
@@ -211,6 +217,24 @@ def test_positive_parameter_wording(call, name):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == f"{name} must be a positive integer, got 0"
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: predict_ass_tree(path_graph(4), 2, 2.5), "s", 2.5),
+        (lambda: max_ideal_in_ass_star(5, 2, 2.5), "s", 2.5),
+        (lambda: astab_tree(path_graph(4), True), "t", True),
+        (lambda: predict_ass_star(4, 2, 1.5), "s", 1.5),
+    ],
+    ids=["predict_ass_tree", "max_ideal_in_ass_star", "astab_tree", "predict_ass_star"],
+)
+def test_positive_parameter_is_an_int(call, name, value):
+    # A float or a bool compares as a number, so only the type tells it
+    # from a positive integer.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"{name} must be a positive integer, got {value}"
 
 
 def test_baseline_bound_across_corpus():

@@ -251,6 +251,8 @@ class TestMatchesPairwiseReference:
                     key = (name, t, s)
                     power = ideal_power(J, s)
                     assert power == reference_power(J, s), key
+                    if s >= 2:
+                        assert _held_pair_agrees(J, s, power.gens), key
                     for m in (full, power.gens[-1]):
                         assert colon(power, m) == reference_colon(power, m), key
                     vectors = list(power.gens + other.gens)
@@ -379,16 +381,24 @@ def _staircase(nvars, d):
 
 
 def _large_pool_ideals():
-    """Ideals the decomposition holds as more than 64 vectors, plain, and
-    held powers decomposed on their classes, where a star power drops
-    dead slots in the middle of an orbit."""
+    """Ideals the decomposition holds as more than 64 vectors, with the
+    classes and generators it starts from: plain, and powers decomposed
+    on the classes of their base (see `_powers`), where a star power
+    drops dead slots in the middle of an orbit."""
     for nvars, d in [(3, 11), (4, 7), (5, 5)]:
-        yield _staircase(nvars, d)
+        I = _staircase(nvars, d)
+        yield I, (), I.gens
     for nvars in (4, 5):
         square = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) == 2]
-        yield ideal_power(minimalize(tuple(f"x{i}" for i in range(nvars)), square), 2)
-    yield ideal_power(star_generators(4, 2), 4)
-    yield ideal_power(partial_cover_ideal(spider(1, 1, 2), 2), 3)
+        yield _held_power(minimalize(tuple(f"x{i}" for i in range(nvars)), square), 2)
+    yield _held_power(star_generators(4, 2), 4)
+    yield _held_power(partial_cover_ideal(spider(1, 1, 2), 2), 3)
+
+
+def _held_power(I, s):
+    """I^s, the classes of I and the canonical generators of I^s, as the
+    engine holds the power."""
+    return (ideal_power(I, s), *monomials._power(I, s))
 
 
 class TestFieldWidthBoundaries:
@@ -403,8 +413,7 @@ class TestFieldWidthBoundaries:
         # largest exponent decomposes the same ideal: the large pools are
         # decomposed at every boundary `top` from there on, and each
         # result must hold every orbit once, by its canonical vector.
-        for I in _large_pool_ideals():
-            classes, reps = I._reps or ((), I.gens)
+        for I, classes, reps in _large_pool_ideals():
             expected = reference_decomposition(I)
             assert irreducible_decomposition(I) == expected, I
             if not classes:
@@ -578,19 +587,24 @@ def _corpus_powers():
                 yield (name, t, s), J, ideal_power(J, s)
 
 
-def _held_reps_agree(J, power):
-    """Whether a power holds the classes of its base and, under them, the
-    canonical filter of its expanded generators."""
-    classes = classes_of_gens(J.gens, J.nvars)
-    held = (classes, _canonical_filter(power.gens, classes))
-    return power._reps == held
+def _held_pair_agrees(J, s, gens):
+    """Whether the engine holds J^s, s >= 2, as the classes of J and,
+    under them, the canonical filter of gens, the generators of J^s,
+    whose orbits expand to gens and to `ideal_power`, each member once."""
+    classes, reps = monomials._power(J, s)
+    return (
+        classes == classes_of_gens(J.gens, J.nvars)
+        and tuple(reps) == _canonical_filter(gens, classes)
+        and sorted(monomials._orbits(reps, classes)) == sorted(gens)
+        and _orbit_members(reps, classes) == len(ideal_power(J, s).gens)
+    )
 
 
 class TestHeldRepresentatives:
     def test_corpus_powers_hold_canonical_generators(self):
         for key, J, power in _corpus_powers():
             if key[2] >= 2:
-                assert _held_reps_agree(J, power), key
+                assert _held_pair_agrees(J, key[2], power.gens), key
 
     def test_primes_are_component_supports(self):
         cells = [(key, power) for key, _, power in _corpus_powers()]
@@ -600,54 +614,6 @@ class TestHeldRepresentatives:
         for key, power in cells:
             supports = {c.support for c in irreducible_decomposition(power)}
             assert {p.support for p in associated_primes(power)} == supports, key
-
-    def test_held_reps_leave_value_and_hash(self):
-        J = partial_cover_ideal(star_graph(5), 2)
-
-        def unexpanded():
-            ideal_power.cache_clear()
-            power = ideal_power(J, 3)
-            assert power._gens is None
-            return power
-
-        plain = reference_power(J, 3)
-        assert unexpanded()._reps is not None and plain._reps is None
-        square = ideal_power(unexpanded(), 2)
-        assert square == ideal_power(plain, 2) == reference_power(J, 6)
-        # Each first read of the generators happens inside the call.
-        assert unexpanded() == plain
-        assert hash(unexpanded()) == hash(plain)
-        assert repr(unexpanded()) == repr(plain)
-        power = unexpanded()
-        assert power.gens == plain.gens
-        assert power == plain and hash(power) == hash(plain)
-        assert repr(power) == repr(plain)
-
-    def test_engine_reads_leave_gens_unbuilt(self):
-        ideal_power.cache_clear()
-        for key, J, power in _corpus_powers():
-            if key[2] < 2:
-                continue
-            assert not power.is_zero and not power.is_unit, key
-            assert not power.is_squarefree, key
-            associated_primes(power)
-            ones = (1,) * power.nvars
-            contains(power, ones)
-            colon(power, ones)
-            ideal_power(J, key[2] + 1)
-            assert power._gens is None, key
-            classes, reps = power._reps
-            assert _orbit_members(reps, classes) == len(power.gens), key
-
-    def test_witness_leaves_its_power_unexpanded(self):
-        # The four cells of the witness_power benchmark workload and the
-        # smallest nontrivial one.
-        cells = ((6, 3, 4), (7, 2, 6), (7, 4, 3), (7, 3, 4), (3, 2, 2))
-        ideal_power.cache_clear()
-        irreducible_decomposition.cache_clear()
-        for n, t, s in cells:
-            assert build_star_witness(n, t, s).valid, (n, t, s)
-            assert ideal_power(star_generators(n, t), s)._gens is None, (n, t, s)
 
 
 class TestDecomposition:
@@ -878,21 +844,11 @@ def test_symmetric_power_and_decomposition(case):
         power = ideal_power(I, s)
         assert power == reference_power(I, s), s
         if s >= 2:
-            assert _held_reps_agree(I, power), s
+            assert _held_pair_agrees(I, s, power.gens), s
         if s < 3:
             expected = reference_decomposition(power)
             assert irreducible_decomposition(power) == expected, s
             assert _orbits_agree(power, expected), s
-
-
-@given(symmetric_ideals_strategy(), st.integers(2, 3), exponents(), exponents())
-def test_colon_and_membership_on_held_reps(case, s, t, m):
-    # The power is read through its representatives: which path the
-    # engine takes does not depend on whether gens was built.
-    power = ideal_power(case[0], s)
-    got = (contains(power, m), colon(power, t))
-    plain = minimalize(power.ambient, power.gens)
-    assert got == (contains(plain, m), colon(plain, t))
 
 
 @given(ideals_strategy(), exponents(), exponents())
@@ -1004,11 +960,11 @@ def test_wide_decomposition_matches_reference(I):
 
 def _kernels_agree(I):
     """Both decomposition kernels on the classes and representatives I
-    holds, or finds from its generators: the staircase returns each
+    finds from its generators: the staircase returns each
     canonical component vector once, the same set as the incremental
     loop, and their orbits are the reference decomposition.  Returns
     the classes, representatives and staircase vectors."""
-    classes, reps = monomials._held_reps(I)
+    classes, reps = monomials._with_classes(I.nvars, None, I.gens)
     top = 1 + max(map(max, reps))
     stair = monomials._staircase(reps, classes, top)
     expected = [
@@ -1183,8 +1139,9 @@ class TestOrbitSkip:
         # The double stars with leaves 3 + 3 and 2 + 4: two classes of
         # leaves, and the 4th powers of J_1 and J_2 have 5^8 points.
         for a, b, t in [(3, 3, 1), (3, 3, 2), (2, 4, 1)]:
-            power = ideal_power(partial_cover_ideal(double_star(a, b), t), 4)
-            classes, reps = power._reps
+            power, classes, reps = _held_power(
+                partial_cover_ideal(double_star(a, b), t), 4
+            )
             assert [len(c) for c in classes] == [a, b], (a, b, t)
             box = math.prod(monomials._radices(reps, classes))
             assert box > monomials._STAIRCASE_MAX_BITS, (a, b, t)
@@ -1244,10 +1201,10 @@ class TestStaircaseKernel:
         # the x + e_i test is skipped and read at the start of the run.
         for n, t, s in [(5, 3, 2), (5, 2, 3), (6, 4, 2)]:
             power = ideal_power(star_generators(n, t), s)
-            classes, _, stair = _kernels_agree(power)
+            classes, reps, stair = _kernels_agree(power)
             leaves = max(classes, key=len)
             assert len(leaves) >= 3
-            top = 1 + max(map(max, power._reps[1]))
+            top = 1 + max(map(max, reps))
             assert any(
                 v[i] == v[j] < top for v in stair for i, j in zip(leaves, leaves[1:])
             ), (n, t, s)
@@ -1279,7 +1236,7 @@ class TestStaircaseKernel:
         ]:
             assert math.prod(1 + max(column) for column in zip(*I.gens)) == box
             picked.clear()
-            monomials._decompose(I)
+            monomials._decompose(I.nvars, None, I.gens)
             assert picked == [kernel], I
             _kernels_agree(I)
 
@@ -1459,17 +1416,22 @@ class TestSinglePower:
         assert _single_agrees(I, 3)
 
     def test_rejects_a_bad_power(self):
-        # The memo holds I^2 first: `ideal_power(I, 2.0)` would find it
-        # under the equal key (I, 2), so the check must come before it.
+        # The memo holds I and I^2 first: an untyped memo would find
+        # (I, 2.0) under the equal key (I, 2) and (I, True) under (I, 1).
         for I in (GATE_INSIDE, GATE_PAST):
+            ideal_power(I, 1)
             ideal_power(I, 2)
             for s in (2.0, 2.5, True, "2", None):
                 message = re.escape(f"power {s!r} is not an int")
                 with pytest.raises(ValueError, match=message):
+                    ideal_power(I, s)
+                with pytest.raises(ValueError, match=message):
                     power_primes(I, s)
                 with pytest.raises(ValueError, match=message):
                     power_contains(I, s, [(0,) * I.nvars])
-            for entry in (power_primes, lambda I, s: power_contains(I, s, [])):
+            for entry in (
+                ideal_power, power_primes, lambda I, s: power_contains(I, s, [])
+            ):
                 with pytest.raises(ValueError, match="negative power"):
                     entry(I, -1)
             with pytest.raises(ValueError, match="proper nonzero"):

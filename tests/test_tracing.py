@@ -67,6 +67,34 @@ def _cached_functions():
     return found
 
 
+MEMOS = {"ideal_power", "irreducible_decomposition"}
+
+
+def _memo_calls():
+    """The line of every call to a memoized function in covertool outside
+    its own definition."""
+    found = set()
+    for path in sorted(Path(covertool.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in MEMOS:
+                own.update(ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and node not in own:
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in MEMOS:
+                    found.add(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_module_calls_the_memos():
+    # The engine holds the powers it builds itself; a call to a memo
+    # from a command path would carry work from one command into the
+    # next and fill an unbounded cache.
+    assert _memo_calls() == set()
+
+
 def test_only_the_caches_the_benchmark_clears():
     # perfbench/run.py clears exactly these two caches before each
     # command; any other cache would carry work from one command into
