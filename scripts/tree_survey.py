@@ -12,7 +12,7 @@ out false, as `covertool` does; 1 stays for operational failures.
 
 import argparse
 
-from covertool.associated import ass_of_power, oracle_sweep, predict_ass_tree
+from covertool.associated import ass_of_power, oracle_sweep, predict_ass_tree_powers
 from covertool.catalog import acceptance_trees, nontree_graphs
 
 
@@ -20,10 +20,7 @@ def survey_tree(name, g):
     rows = []
     for t in range(1, g.max_degree() + 1):
         per_power = oracle_sweep(g, t).per_power
-        ok = all(
-            oracle == predict_ass_tree(g, t, s).primes
-            for s, oracle in enumerate(per_power, start=1)
-        )
+        ok = list(per_power) == predict_ass_tree_powers(g, t, len(per_power))
         verdict = "MATCH" if ok else "MISMATCH"
         rows.append((name, t, len(per_power) - 1, len(per_power[-1]), verdict))
     return rows

@@ -170,11 +170,13 @@ def predict_ass_star(n: int, t: int, s: int) -> AssReport:
     return AssReport(ambient, t, s, "closed_form", frozenset(primes))
 
 
-def predict_ass_tree(g: Graph, t: int, s: int) -> AssReport:
-    """The tree closed form: a prime is associated exactly when its
-    support induces a star K_{1,r} with t <= r <= min(n, s(t-1)+1)."""
+def predict_ass_tree_powers(
+    g: Graph, t: int, s_max: int
+) -> list[frozenset[MonomialPrime]]:
+    """Ass(J_t(g)^s) for s = 1..s_max by the tree closed form, from one
+    star enumeration: the induced stars K_{1,r}, t <= r <= min(n, s(t-1)+1)."""
     _check_positive("t", t)
-    _check_positive("s", s)
+    _check_positive("s_max", s_max)
     if not g.is_tree():
         raise ValueError("closed form proven only for trees")
     if t > g.max_degree():
@@ -182,12 +184,21 @@ def predict_ass_tree(g: Graph, t: int, s: int) -> AssReport:
             f"J_{t} of this tree is the unit ideal: "
             "no constraints (t exceeds all degrees)"
         )
-    rmax = min(g.n, s * (t - 1) + 1)
-    primes = [
-        MonomialPrime(frozenset(g.index(v) for v in subset))
-        for subset in enumerate_induced_stars(g, t, rmax)
+    rmaxes = [min(g.n, s * (t - 1) + 1) for s in range(1, s_max + 1)]
+    stars = enumerate_induced_stars(g, t, rmaxes[-1])
+    primes = [MonomialPrime(frozenset(map(g.index, star))) for star in stars]
+    return [
+        frozenset(p for p, star in zip(primes, stars) if len(star) <= rmax + 1)
+        for rmax in rmaxes
     ]
-    return AssReport(g.vertices, t, s, "closed_form", frozenset(primes))
+
+
+def predict_ass_tree(g: Graph, t: int, s: int) -> AssReport:
+    """The tree closed form at one power (see `predict_ass_tree_powers`)."""
+    _check_positive("t", t)
+    _check_positive("s", s)
+    primes = predict_ass_tree_powers(g, t, s)[-1]
+    return AssReport(g.vertices, t, s, "closed_form", primes)
 
 
 def astab_tree(g: Graph, t: int) -> int:

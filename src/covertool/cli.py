@@ -24,6 +24,7 @@ from .associated import (
     empirical_astab,
     oracle_sweep,
     predict_ass_tree,
+    predict_ass_tree_powers,
     tail_contradicts_astab,
 )
 from .covers import _check_positive, partial_cover_ideal
@@ -155,9 +156,7 @@ def cmd_ass(args) -> int:
     if isinstance(obj, Graph):
         at = f" at t={args.t} s={args.s}"
         modes = ["direct", "localized"] if args.mode == "both" else [args.mode]
-        reports = {}
-        for mode in modes:
-            reports[mode] = ass_of_power(obj, args.t, args.s, mode)
+        reports = {mode: ass_of_power(obj, args.t, args.s, mode) for mode in modes}
         report = reports[modes[0]]
         ambient = report.ambient
         payload["ambient"] = list(ambient)
@@ -369,7 +368,8 @@ def cmd_sweep(args) -> int:
     mismatch = False
     for t, smax in smaxes.items():
         per_power = oracle_sweep(obj, t, smax).per_power
-        for s, oracle in enumerate(per_power, start=1):
+        chain = predict_ass_tree_powers(obj, t, smax) if is_tree else [None] * smax
+        for s, (oracle, predicted) in enumerate(zip(per_power, chain), start=1):
             cell = {
                 "t": t,
                 "s": s,
@@ -377,13 +377,13 @@ def cmd_sweep(args) -> int:
             }
             line = f"t={t} s={s} |Ass|={len(oracle)}"
             if is_tree:
-                predicted = predict_ass_tree(obj, t, s).primes
-                cell["predicted"] = _primes_json(predicted, obj.vertices)
                 cell["match"] = predicted == oracle
+                cell["predicted"] = cell["oracle"]
                 verdict = "MATCH" if cell["match"] else "MISMATCH"
                 line += f" predicted={len(predicted)} {verdict}"
                 if not cell["match"]:
                     mismatch = True
+                    cell["predicted"] = _primes_json(predicted, obj.vertices)
                     only = [
                         _primes_text(a - b, obj.vertices) or "none"
                         for a, b in ((oracle, predicted), (predicted, oracle))
@@ -451,32 +451,36 @@ _SUBCOMMANDS = {
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with only `command`, whose
-    usage line still names all six, so a root-level error (an extra
-    argument) reads as the full parser's would."""
-    parser = argparse.ArgumentParser(
-        prog="covertool",
-        description="Partial t-cover ideals: construction, associated primes, "
-        "stability, witnesses, and the hypergraph chromatic gap.",
-    )
-    # Unset on the full parser, whose missing-subcommand error says `command`.
-    names = None if command is None else "{%s}" % ",".join(_SUBCOMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
-    for name, (help_text, handler, arguments) in _SUBCOMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flag, options in (*arguments, *_COMMON):
-                p.add_argument(flag, **options)
-            p.set_defaults(handler=handler)
+    """The parser with every subcommand, or the parser of `command`
+    alone, the one the full parser hands that subcommand's arguments."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="covertool",
+            description="Partial t-cover ideals: construction, associated primes, "
+            "stability, witnesses, and the hypergraph chromatic gap.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {n: sub.add_parser(n, help=h) for n, (h, *_) in _SUBCOMMANDS.items()}
+    else:
+        parser = argparse.ArgumentParser(prog=f"covertool {command}")
+        parsers = {command: parser}
+    for name, p in parsers.items():
+        _, handler, arguments = _SUBCOMMANDS[name]
+        for flag, options in (*arguments, *_COMMON):
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler, command=name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The root parser has no options of its own, so a subcommand name
-    # first is the subcommand; anything else needs the full parser.
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    # The root parser has no options, so a subcommand name first takes the
+    # rest of argv; the full parser reports anything else or left over.
+    args = extra = None
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (CommandError, ValueError) as exc:

@@ -14,13 +14,20 @@ from covertool.associated import (
     oracle_sweep,
     predict_ass_star,
     predict_ass_tree,
+    predict_ass_tree_powers,
     verify_annihilator_divisibility,
 )
 from covertool import monomials
 from covertool.associated import _witness_checks
-from covertool.catalog import nontree_graphs, trees_up_to_6
+from covertool.catalog import extended_trees, nontree_graphs, trees_up_to_6
 from covertool.covers import partial_cover_ideal, star_generators
-from covertool.graphs import cycle_graph, path_graph, spider, star_graph
+from covertool.graphs import (
+    cycle_graph,
+    enumerate_induced_stars,
+    path_graph,
+    spider,
+    star_graph,
+)
 from covertool.monomials import (
     MonomialPrime,
     associated_primes,
@@ -162,6 +169,48 @@ class TestPredictTree:
     def test_unit_range_rejected(self):
         with pytest.raises(ValueError, match="unit ideal"):
             predict_ass_tree(path_graph(3), 3, 1)
+
+
+class TestPredictTreePowers:
+    """One star enumeration per (tree, t) gives every power's prediction."""
+
+    @pytest.mark.parametrize(
+        "name, g",
+        extended_trees() + [(f"K1_{n}", star_graph(n)) for n in (1, 2, 7)],
+    )
+    def test_each_power_equals_the_single_power_form(self, name, g):
+        for t in range(1, g.max_degree() + 1):
+            s_max = astab_tree(g, t) + 1
+            chain = predict_ass_tree_powers(g, t, s_max)
+            assert len(chain) == s_max
+            for s, primes in enumerate(chain, start=1):
+                assert primes == predict_ass_tree(g, t, s).primes, (name, t, s)
+                # The stars of this power alone, enumerated on their own.
+                rmax = min(g.n, s * (t - 1) + 1)
+                stars = enumerate_induced_stars(g, t, rmax)
+                assert primes == {prime_of(g, *star) for star in stars}, (t, s)
+                if name.startswith("K1_"):
+                    assert primes == predict_ass_star(g.n - 1, t, s).primes
+
+    @pytest.mark.parametrize(
+        "g, t, s",
+        [
+            (cycle_graph(4), 2, 1),
+            (path_graph(3), 3, 1),
+            (path_graph(4), 0, 1),
+            (path_graph(4), 2, 0),
+            (path_graph(4), 1.0, 1),
+            (path_graph(4), 2, True),
+            (path_graph(4), 2, 2.5),
+        ],
+    )
+    def test_errors_match_the_single_power_form(self, g, t, s):
+        with pytest.raises(ValueError) as single:
+            predict_ass_tree(g, t, s)
+        with pytest.raises(ValueError) as chain:
+            predict_ass_tree_powers(g, t, s)
+        # Only the name of the power differs.
+        assert str(chain.value) == str(single.value).replace("s must", "s_max must")
 
 
 class TestAstabTree:

@@ -7,11 +7,13 @@ exercised without spawning subprocesses.
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -488,25 +490,36 @@ class TestErrorsAndFormats:
         assert payload["annihilator_divides"]
 
 
-def _outcome(argv, capsys):
+def _outcome(argv, capsys, run_main=main):
     try:
-        code = main(argv)
+        code = run_main(argv)
     except SystemExit as exc:  # help and usage errors
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
+def _full_parser_main(argv):
+    """`main` as it runs with the full six-subcommand parser alone."""
+    args = cli._build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except (cli.CommandError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.OPERATIONAL_ERROR
+
+
 def _subcommands(parser):
     (action,) = [
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    return list(action.choices)
+    return action.choices
 
 
 class TestLazyParser:
-    """`main` builds only the subparser that argv[0] names; its output
-    must equal the full parser's on help and on every usage error."""
+    """`main` builds only the parser of the subcommand argv[0] names; its
+    output must equal the full parser's on help, on every usage error
+    and at the edges of argparse (abbreviations, `--`, `=`, repeats)."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -526,6 +539,16 @@ class TestLazyParser:
             ("ideal p4.graph extra", 2),
             ("gap --m 1 extra", 2),
             ("sweep --t 1 p4.graph", 0),
+            ("sweep --bogus p4.graph", 2),
+            ("sweep p4.graph extra", 2),
+            ("ideal -- p4.graph", 0),
+            ("sweep p4.graph -h", 0),
+            ("sweep -h extra", 0),
+            ("ass --pred --s 1 p4.graph", 0),
+            ("ass --s=1 p4.graph", 0),
+            ("witness --n 3 --t 2 --s 2 -- extra", 2),
+            ("stability --smax 2 p4.graph sweep", 2),
+            ("ideal --t 2 --t 3 p4.graph", 0),
         ],
     )
     def test_same_output_as_the_full_parser(
@@ -536,16 +559,17 @@ class TestLazyParser:
         (tmp_path / "p4.graph").write_text(P4)
         lazy = _outcome(argv.split(), capsys)
         assert lazy[0] == code
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
-        assert _outcome(argv.split(), capsys) == lazy
+        assert _outcome(argv.split(), capsys, _full_parser_main) == lazy
 
     def test_only_the_named_subcommand_is_built(self, monkeypatch, capsys):
         names = list(cli._SUBCOMMANDS)
         assert names == ["ideal", "ass", "stability", "witness", "gap", "sweep"]
-        assert _subcommands(cli._build_parser()) == names
+        full = _subcommands(cli._build_parser())
+        assert list(full) == names
         for name in names:
-            assert _subcommands(cli._build_parser(name)) == [name]
+            alone = cli._build_parser(name)
+            assert alone.prog == f"covertool {name}"
+            assert alone.format_help() == full[name].format_help()
         built = []
         build = cli._build_parser
 
@@ -555,10 +579,36 @@ class TestLazyParser:
 
         monkeypatch.setattr(cli, "_build_parser", spy)
         assert main(["witness", "--n", "3", "--t", "2", "--s", "2"]) == 0
-        with pytest.raises(SystemExit):
-            main(["swee"])
+        assert built == ["witness"]
+        for argv, parsers in (
+            (["ideal", "p4.graph", "extra"], ["ideal", None]),
+            (["swee"], [None]),
+        ):
+            built.clear()
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert built == parsers
         capsys.readouterr()
-        assert built == ["witness", None]
+
+    def test_one_parser_per_command_and_none_kept(self, monkeypatch, capsys):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+        assert main(["witness", "--n", "3", "--t", "2", "--s", "2"]) == 0
+        assert len(made) == 1 and made[0]() is None
+        made.clear()
+        with pytest.raises(SystemExit):
+            main(["ideal", "p4.graph", "extra"])
+        # The subcommand's parser, then the full parser and its six.
+        assert len(made) == 8
+        gc.collect()
+        assert all(ref() is None for ref in made)
+        capsys.readouterr()
 
 
 def _drop_first_prime(report):
@@ -599,9 +649,11 @@ class TestIntegrityFailures:
     def test_sweep_mismatch_lists_differing_primes(
         self, graph_file, capsys, monkeypatch
     ):
-        predict = cli.predict_ass_tree
+        predict = cli.predict_ass_tree_powers
         monkeypatch.setattr(
-            cli, "predict_ass_tree", lambda *a: _drop_first_prime(predict(*a))
+            cli,
+            "predict_ass_tree_powers",
+            lambda *a: [frozenset(sorted_primes(p)[1:]) for p in predict(*a)],
         )
         code, out, _ = run(capsys, "sweep", "--t", "2", graph_file(P4))
         assert code == 3
@@ -612,6 +664,13 @@ class TestIntegrityFailures:
             "oracle-only: <x1, x2, x3>; predicted-only: none",
             "result: MISMATCH found",
         ]
+        code, out, _ = run(
+            capsys, "sweep", "--t", "2", "--format", "json", graph_file(P4)
+        )
+        assert code == 3
+        for cell in json.loads(out)["cells"]:
+            assert cell["match"] is False
+            assert cell["predicted"] == cell["oracle"][1:]
 
     def test_stability_astab_mismatch(self, graph_file, capsys, monkeypatch):
         astab = cli.astab_tree

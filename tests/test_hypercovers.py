@@ -10,6 +10,7 @@ from covertool.associated import (
     max_ideal_in_ass_star,
     predict_ass_star,
     predict_ass_tree,
+    predict_ass_tree_powers,
     tail_contradicts_astab,
 )
 from covertool.catalog import hypergraph_corpus
@@ -223,11 +224,20 @@ def test_positive_parameter_wording(call, name):
     "call, name, value",
     [
         (lambda: predict_ass_tree(path_graph(4), 2, 2.5), "s", 2.5),
+        (lambda: predict_ass_tree_powers(path_graph(4), 2, 2.5), "s_max", 2.5),
+        (lambda: predict_ass_tree_powers(path_graph(4), True, 2), "t", True),
         (lambda: max_ideal_in_ass_star(5, 2, 2.5), "s", 2.5),
         (lambda: astab_tree(path_graph(4), True), "t", True),
         (lambda: predict_ass_star(4, 2, 1.5), "s", 1.5),
     ],
-    ids=["predict_ass_tree", "max_ideal_in_ass_star", "astab_tree", "predict_ass_star"],
+    ids=[
+        "predict_ass_tree",
+        "predict_ass_tree_powers-s_max",
+        "predict_ass_tree_powers-t",
+        "max_ideal_in_ass_star",
+        "astab_tree",
+        "predict_ass_star",
+    ],
 )
 def test_positive_parameter_is_an_int(call, name, value):
     # A float or a bool compares as a number, so only the type tells it
