@@ -3,8 +3,7 @@ catalogued tree.
 
 One row per (tree, t): the certified stability index, the size of the
 stable set of associated primes, and whether every oracle power up to
-astab+1 matched the prediction.  Non-trees from the catalogue can be
-appended with --include-cycles to show the oracle-only path.
+astab+1 matched the prediction.
 
 Exits 0 when every row matches and 3 on a MISMATCH, a theorem that came
 out false, as `covertool` does; 1 stays for operational failures.
@@ -12,8 +11,8 @@ out false, as `covertool` does; 1 stays for operational failures.
 
 import argparse
 
-from covertool.associated import ass_of_power, oracle_sweep, predict_ass_tree_powers
-from covertool.catalog import acceptance_trees, nontree_graphs
+from covertool.associated import oracle_sweep, predict_ass_tree_powers
+from covertool.catalog import acceptance_trees
 
 
 def survey_tree(name, g):
@@ -26,30 +25,16 @@ def survey_tree(name, g):
     return rows
 
 
-def survey_cycle(name, g, s_max):
-    rows = []
-    for t in range(1, g.max_degree() + 1):
-        final = len(ass_of_power(g, t, s_max).primes)
-        rows.append((name, t, "-", final, "oracle only"))
-    return rows
-
-
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--include-cycles", action="store_true")
-    parser.add_argument("--cycle-smax", type=int, default=3)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     rows = []
     for name, g in acceptance_trees():
         rows.extend(survey_tree(name, g))
-    if args.include_cycles:
-        for name, g in nontree_graphs():
-            rows.extend(survey_cycle(name, g, args.cycle_smax))
 
     print(f"{'tree':<8} {'t':>3} {'astab':>6} {'|Ass| stable':>13}  verdict")
     for name, t, astab, final, verdict in rows:
-        print(f"{name:<8} {t:>3} {astab!s:>6} {final:>13}  {verdict}")
+        print(f"{name:<8} {t:>3} {astab:>6} {final:>13}  {verdict}")
     bad = [r for r in rows if r[4] == "MISMATCH"]
     print(f"\n{len(rows)} rows, {len(bad)} mismatches")
     raise SystemExit(3 if bad else 0)

@@ -13,16 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .covers import (
-    _check_positive,
-    _check_star,
-    partial_cover_ideal,
-    star_generators,
-)
+from .covers import _check_star, partial_cover_ideal, star_generators
 from .graphs import Graph, enumerate_induced_stars, star_graph
 from .monomials import (
     MonomialIdeal,
     MonomialPrime,
+    _check_positive,
     associated_primes_of_powers,
     monomial_str,
     power_contains,

@@ -27,11 +27,12 @@ from .associated import (
     predict_ass_tree_powers,
     tail_contradicts_astab,
 )
-from .covers import _check_positive, partial_cover_ideal
+from .covers import partial_cover_ideal
 from .graphs import Graph, Hypergraph, ParseError, parse_hypergraph, star_graph
 from .hypercovers import hypergraph_cover_ideal, verify_gap
 from .monomials import (
     MonomialIdeal,
+    _check_positive,
     alexander_dual,
     monomial_str,
     power_primes,

@@ -18,16 +18,12 @@ from dataclasses import dataclass
 from .graphs import Graph, find_special_vertex, star_graph
 from .monomials import (
     MonomialIdeal,
+    _check_positive,
     alexander_dual,
     minimalize,
     monomial_str,
     support_vector,
 )
-
-
-def _check_positive(name: str, value: int):
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 def _check_star(n: int, t: int):

@@ -236,9 +236,9 @@ def enumerate_induced_stars(g: Graph, rmin: int, rmax: int) -> list[frozenset[st
 
 # Named constructions used throughout the test corpus and scripts.
 
-def path_graph(n: int, prefix: str = "x") -> Graph:
+def path_graph(n: int) -> Graph:
     """The path x1 - x2 - ... - xn."""
-    vs = [f"{prefix}{i}" for i in range(1, n + 1)]
+    vs = [f"x{i}" for i in range(1, n + 1)]
     return Graph.build(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
 
 
@@ -248,11 +248,11 @@ def star_graph(n: int) -> Graph:
     return Graph.build(vs, [("z", v) for v in vs[1:]])
 
 
-def cycle_graph(n: int, prefix: str = "x") -> Graph:
-    """The cycle on n >= 3 vertices."""
+def cycle_graph(n: int) -> Graph:
+    """The cycle x1 - x2 - ... - xn - x1 on n >= 3 vertices."""
     if n < 3:
         raise ValueError("a cycle needs at least three vertices")
-    vs = [f"{prefix}{i}" for i in range(1, n + 1)]
+    vs = [f"x{i}" for i in range(1, n + 1)]
     edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
     return Graph.build(vs, edges)
 

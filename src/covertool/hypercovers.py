@@ -13,9 +13,15 @@ import itertools
 from dataclasses import dataclass
 
 from .associated import astab_tree, empirical_astab, tail_contradicts_astab
-from .covers import _check_positive, star_generators
+from .covers import star_generators
 from .graphs import Hypergraph, star_graph
-from .monomials import MonomialIdeal, alexander_dual, minimalize, support_vector
+from .monomials import (
+    MonomialIdeal,
+    _check_positive,
+    alexander_dual,
+    minimalize,
+    support_vector,
+)
 
 Coloring = dict[str, int]
 

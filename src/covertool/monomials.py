@@ -277,23 +277,6 @@ def _orbits(vecs, classes) -> list[tuple[int, ...]]:
     return vecs
 
 
-def _orbit_members(reps, classes) -> int:
-    """The number of vectors in the orbits of reps: per class, the
-    multinomial of the multiplicities of its entries."""
-    if not classes:
-        return len(reps)
-    total = 0
-    for r in reps:
-        members = 1
-        for cls in classes:
-            values = [r[i] for i in cls]
-            members *= math.factorial(len(values))
-            for x in set(values):
-                members //= math.factorial(values.count(x))
-        total += members
-    return total
-
-
 def _minimalize_exps(exps_list) -> tuple[tuple[int, ...], ...]:
     """Drop every vector strictly divisible by another; sort canonically.
 
@@ -427,6 +410,11 @@ def _check_power(s):
         raise ValueError(f"power {s!r} is not an int")
     if s < 0:
         raise ValueError("negative power")
+
+
+def _check_positive(name: str, value: int):
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -710,6 +698,13 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
 _STAIRCASE_MAX_BITS = 1 << 18  # see _decompose
 
 
+def _box(radix) -> Box | None:
+    """The box of these radices, or None past `_STAIRCASE_MAX_BITS`
+    points: the one test of whether the staircase reads an ideal, a
+    chain of powers or a membership query (see `_decompose`)."""
+    return Box(radix) if math.prod(radix) <= _STAIRCASE_MAX_BITS else None
+
+
 def _radices(reps, classes) -> list[int]:
     """One more than each variable's largest exponent over the orbits of
     reps: for every variable of a class, its class's largest entry,
@@ -721,14 +716,13 @@ def _radices(reps, classes) -> list[int]:
     return radix
 
 
-def _staircase(reps, classes, top) -> list[tuple[int, ...]]:
+def _staircase(box: Box, reps, classes, top) -> list[tuple[int, ...]]:
     """The canonical component vectors that `_components` returns, read
     off the staircase of the ideal in its exponent box (see `_radices`).
 
     On a canonical x the upward closure of the canonical reps alone is
     exact (see `_classes`), and that is all `corners` reads.
     """
-    box = Box(_radices(reps, classes))
     return corners(box, box.upward(reps), box.corner_tests(classes), top)
 
 
@@ -739,12 +733,12 @@ def _decompose(nvars: int, classes, reps):
     alexander_dual.
 
     A power starts from the classes of its base and its canonical
-    generators.  Boxes of at most `_STAIRCASE_MAX_BITS` points are read
-    off the staircase.  Its cost barely grows with the generators, so an
-    ideal whose classes are not known (None) is read as it is: on the
-    240 such ideals of a `tree_sweep` batch, finding their classes first
-    took 24 ms against 13-15 ms.  Larger boxes go to the incremental
-    loop, for which such an ideal first finds its classes.
+    generators.  A box that `_box` admits is read off the staircase.
+    Its cost barely grows with the generators, so an ideal whose classes
+    are not known (None) is read as it is: on the 240 such ideals of a
+    `tree_sweep` batch, finding their classes first took 24 ms against
+    13-15 ms.  Larger boxes go to the incremental loop, for which such
+    an ideal first finds its classes.
 
     Both kernels were timed on 161 cells, powers 2 to 4 of J_2 and J_3
     of 7 or 8 trees on each of 8, 9 and 10 vertices and powers 2 to 5
@@ -769,9 +763,9 @@ def _decompose(nvars: int, classes, reps):
     """
     held = classes or ()
     radix = _radices(reps, held)
-    top = max(radix)
-    if math.prod(radix) <= _STAIRCASE_MAX_BITS:
-        return held, top, _staircase(reps, held, top)
+    top, box = max(radix), _box(radix)
+    if box is not None:
+        return held, top, _staircase(box, reps, held, top)
     classes, reps = _with_classes(nvars, classes, reps)
     return classes, top, _components(reps, nvars, top, classes)
 
@@ -823,14 +817,6 @@ def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
     return _primes(*_decompose(I.nvars, None, I.gens))
 
 
-def _power_box(gens, s: int) -> Box | None:
-    """The box of I^s, radix s * m_i + 1 on each variable with m_i its
-    largest exponent in I, or None past `_STAIRCASE_MAX_BITS` points,
-    the limit `_decompose` sets for one ideal."""
-    radix = [1 + s * x for x in map(max, zip(*gens))]
-    return Box(radix) if math.prod(radix) <= _STAIRCASE_MAX_BITS else None
-
-
 def _box_powers(box: Box, gens):
     """U_0, U_1, U_2, ...: the points in box of I^0, I, I^2, ..., for I
     generated by gens, from the whole box by one `Shifts` step per
@@ -844,48 +830,44 @@ def _box_powers(box: Box, gens):
         U = shift(U)
 
 
-def _box_primes(box: Box, classes):
-    """The reader of Ass off the points in box of a power of an ideal
-    with these classes, which fix all its powers (see `corners`)."""
+def _walk(I: MonomialIdeal, s_max: int):
+    """(read, powers): powers yields one value for each of I, I^2, ...,
+    and read takes one to its Ass.  While the box of I^s_max, radix
+    s_max * m_i + 1 with m_i the largest exponent of x_i in I, passes
+    `_box`, no power is built: the values are the points of each power
+    in that one box (`_box_powers`), read on the classes of I, which fix
+    all its powers (see `corners`).  For I alone or a larger box they
+    are the pairs of the powers (see `_powers`), each decomposed.
+    """
+    box = _box([1 + s_max * x for x in map(max, zip(*I.gens))]) if s_max > 1 else None
+    if box is None:
+        return (lambda pair: _primes(*_decompose(I.nvars, *pair))), _powers(I)
+    classes = _classes(I.gens, I.nvars)
     tests, top = box.corner_tests(classes), max(box.radix)
-    return lambda U: _primes(classes, top, corners(box, U, tests, top))
+    return (
+        lambda U: _primes(classes, top, corners(box, U, tests, top)),
+        itertools.islice(_box_powers(box, I.gens), 1, None),
+    )
 
 
 def associated_primes_of_powers(
     I: MonomialIdeal, s_max: int
 ) -> list[frozenset[MonomialPrime]]:
-    """Ass(I^s) for s = 1..s_max, walking the powers on one staircase.
-
-    No power is built while the box of I^s_max (see `_power_box`) is
-    within the staircase limit: the points of every I^s in that one box
-    come from `_box_powers`, and each is read on the classes of I.  A
-    larger box, or a single power, decomposes the pair of each power
-    (see `_powers`), stepped from the one before, and drops it.
-    """
+    """Ass(I^s) for s = 1..s_max: every power of the walk (see `_walk`),
+    each read and dropped."""
     _check_proper(I)
-    if type(s_max) is not int or s_max < 1:
-        raise ValueError(f"s_max must be a positive integer, got {s_max}")
-    gens = I.gens
-    box = _power_box(gens, s_max) if s_max > 1 else None
-    if box is None:
-        pairs = itertools.islice(_powers(I), s_max)
-        return [_primes(*_decompose(I.nvars, *pair)) for pair in pairs]
-    read = _box_primes(box, _classes(gens, I.nvars))
-    return [read(U) for U in itertools.islice(_box_powers(box, gens), 1, s_max + 1)]
+    _check_positive("s_max", s_max)
+    read, powers = _walk(I, s_max)
+    return [read(power) for power in itertools.islice(powers, s_max)]
 
 
 def power_primes(I: MonomialIdeal, s: int) -> frozenset[MonomialPrime]:
-    """Ass(I^s), building no power while the box of I^s is within the
-    staircase limit: its points are the s-th of `_box_powers`, read as
-    `associated_primes_of_powers` reads every power.  I itself, and a
-    power past the limit, decompose the pair of I^s (see `_powers`)."""
+    """Ass(I^s): the walk to I^s (see `_walk`), of which only the last
+    power is read."""
     _check_power(s)
     _check_proper(I if s else unit_ideal(I.ambient))  # I^0 is the unit ideal
-    box = _power_box(I.gens, s) if s > 1 else None
-    if box is None:
-        return _primes(*_decompose(I.nvars, *_power(I, s)))
-    U = next(itertools.islice(_box_powers(box, I.gens), s, None))
-    return _box_primes(box, _classes(I.gens, I.nvars))(U)
+    read, powers = _walk(I, s)
+    return read(next(itertools.islice(powers, s - 1, None)))
 
 
 def power_contains(I: MonomialIdeal, s: int, points) -> list[bool]:
@@ -907,10 +889,10 @@ def power_contains(I: MonomialIdeal, s: int, points) -> list[bool]:
         return []
     tops = [max(column) for column in zip(*I.gens)] or [0] * I.nvars
     radix = [1 + min(s * m, q) for m, q in zip(tops, map(max, zip(*points)))]
-    if math.prod(radix) > _STAIRCASE_MAX_BITS:
+    box = _box(radix)
+    if box is None:
         classes, reps = _power(I, s)
         return [_pair_contains(classes, reps, x) for x in points]
-    box = Box(radix)
     U = next(itertools.islice(_box_powers(box, I.gens), s, None))
     clamped = ([min(a, r - 1) for a, r in zip(x, radix)] for x in points)
     return [bool(U >> box.offset(x) & 1) for x in clamped]

@@ -5,11 +5,13 @@ lists, intersections and colons on paper) before the implementation ran,
 so they are independent of the code under test.
 """
 
+import ast
 import itertools
 import math
 import operator
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
@@ -26,6 +28,7 @@ from minimalizers import (
 )
 from transversals import edge_ideal, reference_dual
 
+import covertool
 from covertool import monomials
 from covertool.associated import astab_tree, build_star_witness
 from covertool.catalog import graph_corpus, hypergraph_corpus
@@ -70,7 +73,8 @@ from covertool.monomials import (
     zero_ideal,
 )
 from covertool.monomials import _classes as classes_of_gens
-from covertool.monomials import _components, _orbit_members
+from covertool.monomials import _components
+from covertool.staircase import Box
 
 X4 = ("x1", "x2", "x3", "x4")
 ZX3 = ("z", "x1", "x2", "x3")
@@ -596,7 +600,6 @@ def _held_pair_agrees(J, s, gens):
         classes == classes_of_gens(J.gens, J.nvars)
         and tuple(reps) == _canonical_filter(gens, classes)
         and sorted(monomials._orbits(reps, classes)) == sorted(gens)
-        and _orbit_members(reps, classes) == len(ideal_power(J, s).gens)
     )
 
 
@@ -965,8 +968,9 @@ def _kernels_agree(I):
     loop, and their orbits are the reference decomposition.  Returns
     the classes, representatives and staircase vectors."""
     classes, reps = monomials._with_classes(I.nvars, None, I.gens)
-    top = 1 + max(map(max, reps))
-    stair = monomials._staircase(reps, classes, top)
+    box = Box(monomials._radices(reps, classes))
+    top = max(box.radix)
+    stair = monomials._staircase(box, reps, classes, top)
     expected = [
         tuple(dict(c.bounds).get(i, top) for i in range(I.nvars))
         for c in reference_decomposition(I)
@@ -1501,6 +1505,60 @@ def test_power_membership_matches_the_built_power(case):
     I, s, points = case
     power = ideal_power(I, s)
     assert power_contains(I, s, points) == [contains(power, x) for x in points]
+
+
+class TestStaircaseGate:
+    def test_only_the_gate_reads_the_limit(self):
+        # `_box` is the one place that decides between the staircase and
+        # the pairs, so a new limit or cost estimate changes it alone.
+        uses = []
+        for path in sorted(Path(covertool.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {}
+            for node in ast.walk(tree):  # outer functions first
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update(dict.fromkeys(ast.walk(node), node.name))
+            for node in ast.walk(tree):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(node, ast.alias):
+                    name, kind = node.name, "import"
+                else:
+                    kind = type(getattr(node, "ctx", None)).__name__
+                if name == "_STAIRCASE_MAX_BITS":
+                    uses.append((path.stem, owner.get(node), kind))
+        assert sorted(uses, key=str) == [
+            ("monomials", "_box", "Load"),
+            ("monomials", None, "Store"),
+        ]
+
+    def test_pairs_answer_as_the_staircase(self, monkeypatch):
+        # With the gate shut, every entry point takes the pairs on
+        # ideals the staircase would read, and answers the same.
+        rng = random.Random(1)
+        cells = []
+        for name, g in graph_corpus():
+            for t in range(1, g.max_degree() + 1):
+                J = partial_cover_ideal(g, t)
+                points = [
+                    tuple(rng.randint(0, s) for _ in range(J.nvars))
+                    for s in (1, 2, 3)
+                    for _ in range(10)
+                ]
+                cells.append(((name, t), J, points))
+
+        def answers(J, points):
+            return (
+                associated_primes_of_powers(J, 3),
+                [power_primes(J, s) for s in (1, 2, 3)],
+                [power_contains(J, s, points) for s in (1, 2, 3)],
+            )
+
+        expected = [answers(J, points) for _, J, points in cells]
+        gate = []
+        monkeypatch.setattr(monomials, "_box", lambda radix: gate.append(radix))
+        for (key, J, points), want in zip(cells, expected):
+            assert answers(J, points) == want, key
+        assert gate
 
 
 @given(ideals_strategy())
