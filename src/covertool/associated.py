@@ -275,7 +275,8 @@ def _witness_checks(
     J: MonomialIdeal, s: int, T: tuple[int, ...]
 ) -> tuple[bool, bool]:
     """(T not in J^s, J^s : T equals the maximal ideal), decided by one
-    membership test of T and every x_i T in J^s (see `power_contains`).
+    `power_contains` call on T and every x_i T, which searches for
+    divisors in J and builds no power.
 
     J^s : T contains every variable exactly when each x_i T lies in J^s,
     and it is proper exactly when T does not; a proper monomial ideal

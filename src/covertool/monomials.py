@@ -105,12 +105,12 @@ class MonomialIdeal:
         return ideal_str(self)
 
 
-# The two comparison-heavy loops, minimalization and decomposition, pack
-# each vector into one int: exponent i sits in field i, bits
-# [i*w, (i+1)*w), whose top bit is a guard bit no exponent reaches.
-# With H the mask of all guard bits, k <= e pointwise exactly when
-# ((e | H) - k) & H == H: each field computes guard + e_i - k_i, which
-# never borrows from the next field and keeps its guard bit iff
+# The comparison-heavy loops, minimalization, decomposition and the
+# membership search, pack each vector into one int: exponent i sits in
+# field i, bits [i*w, (i+1)*w), whose top bit is a guard bit no exponent
+# reaches.  With H the mask of all guard bits, k <= e pointwise exactly
+# when ((e | H) - k) & H == H: each field computes guard + e_i - k_i,
+# which never borrows from the next field and keeps its guard bit iff
 # k_i <= e_i.
 
 def _layout(bound: int, nvars: int) -> tuple[int, int]:
@@ -445,17 +445,10 @@ def colon(I: MonomialIdeal, t: tuple[int, ...]) -> MonomialIdeal:
     return MonomialIdeal(I.ambient, _minimalize_exps(quotients))
 
 
-def _pair_contains(classes, reps, m) -> bool:
-    """Whether m lies in the ideal of a pair: some generator divides it,
-    which for a canonical generator is some member of its orbit."""
-    m = _canonical(m, classes or ())
-    return any(all(map(operator.le, g, m)) for g in reps)
-
-
 def contains(I: MonomialIdeal, m: tuple[int, ...]) -> bool:
     """Whether m lies in I: some generator of I divides it."""
     _check_exponents(m, I.nvars)
-    return _pair_contains(None, I.gens, m)
+    return any(all(map(operator.le, g, m)) for g in I.gens)
 
 
 def ideal_contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
@@ -700,8 +693,8 @@ _STAIRCASE_MAX_BITS = 1 << 18  # see _decompose
 
 def _box(radix) -> Box | None:
     """The box of these radices, or None past `_STAIRCASE_MAX_BITS`
-    points: the one test of whether the staircase reads an ideal, a
-    chain of powers or a membership query (see `_decompose`)."""
+    points: the one test of whether the staircase reads an ideal or a
+    chain of powers (see `_decompose`)."""
     return Box(radix) if math.prod(radix) <= _STAIRCASE_MAX_BITS else None
 
 
@@ -871,31 +864,50 @@ def power_primes(I: MonomialIdeal, s: int) -> frozenset[MonomialPrime]:
 
 
 def power_contains(I: MonomialIdeal, s: int, points) -> list[bool]:
-    """Whether each of points lies in I^s, building no power while the
-    box sized to the points is within the staircase limit.
-
-    That box has radix 1 + min(s * m_i, the largest x_i of the points),
-    with m_i the largest exponent of x_i in I, and each point is looked
-    up with every entry clamped to radix_i - 1.  The clamp keeps
-    membership, since no generator of I^s has an x_i past s * m_i, and
-    the points of I^s in any box are exact (see `Shifts`).  A larger box
-    tests the points against the pair of I^s (see `_powers`).
-    """
+    """Whether each of points lies in I^s, by a depth-first search that
+    builds no power: x lies in I^k when k = 0, or when some generator g
+    of I divides x and x - g lies in I^(k-1).  It runs on an explicit
+    stack, at most s deep, and keeps every (x, k) found outside I^k for
+    all points.  It works on canonical vectors under the classes of I,
+    which fix every power (see `_classes`), packed (see `_layout`) with
+    fields wide enough for the generators as well as the points."""
     _check_power(s)
     points = list(points)  # an iterator would be spent by the checks
     for x in points:
         _check_exponents(x, I.nvars)
-    if not points:
-        return []
-    tops = [max(column) for column in zip(*I.gens)] or [0] * I.nvars
-    radix = [1 + min(s * m, q) for m, q in zip(tops, map(max, zip(*points)))]
-    box = _box(radix)
-    if box is None:
-        classes, reps = _power(I, s)
-        return [_pair_contains(classes, reps, x) for x in points]
-    U = next(itertools.islice(_box_powers(box, I.gens), s, None))
-    clamped = ([min(a, r - 1) for a, r in zip(x, radix)] for x in points)
-    return [bool(U >> box.offset(x) & 1) for x in clamped]
+    if not s:
+        return [True] * len(points)  # I^0 is the unit ideal
+    classes = _classes(I.gens, I.nvars)
+    width, H = _layout(max(itertools.chain(*points, *I.gens), default=0), I.nvars)
+    low = (1 << (width - 1)) - 1
+    shifts = [(c, [i * width for i in c]) for c in classes]
+    # x - g can be out of order only in the classes that meet g.
+    factors = [
+        (_pack(g, width), [f for c, f in shifts if any(g[i] for i in c)])
+        for g in I.gens
+    ]
+    outside = [set() for _ in range(s + 1)]
+
+    def member(x):
+        stack = [(x, s, iter(factors))]
+        while stack:
+            x, k, tries = stack[-1]
+            for g, touched in tries:
+                if ((x | H) - g) & H == H:
+                    if k == 1:
+                        return True
+                    y = _canonical_packed(x - g, touched, low)
+                    if y not in outside[k - 1]:
+                        stack.append((y, k - 1, iter(factors)))
+                        break
+            else:
+                outside[k].add(x)
+                stack.pop()
+        return False
+
+    packed = [_pack(_canonical(x, classes), width) for x in points]
+    known = {x: member(x) for x in dict.fromkeys(packed)}
+    return [known[x] for x in packed]
 
 
 def witness_search(I: MonomialIdeal, P: MonomialPrime) -> tuple[int, ...] | None:

@@ -26,12 +26,18 @@ from minimalizers import (
     reference_power,
     reference_product,
 )
+from powers_reference import reference_power_contains
 from transversals import edge_ideal, reference_dual
 
 import covertool
 from covertool import monomials
-from covertool.associated import astab_tree, build_star_witness
+from covertool.associated import (
+    astab_tree,
+    build_star_witness,
+    max_ideal_in_ass_star,
+)
 from covertool.catalog import graph_corpus, hypergraph_corpus
+from covertool.cli import MAX_POWER, MAX_VARIABLES
 from covertool.covers import (
     generalized_edge_ideal,
     partial_cover_ideal,
@@ -1464,9 +1470,10 @@ class TestSinglePower:
         ]
 
     def test_membership_past_the_limit(self):
-        # The queries' box is that of the whole power: inside the limit
-        # at GATE_INSIDE^3, one point past it at GATE_PAST^2.
-        for I, s, steps in ((GATE_INSIDE, 3, 0), (GATE_PAST, 2, 1)):
+        # The queries span the box of the whole power: inside the limit
+        # at GATE_INSIDE^3, one point past it at GATE_PAST^2.  Neither
+        # builds a power.
+        for I, s in ((GATE_INSIDE, 3), (GATE_PAST, 2)):
             tops = tuple(s * max(column) for column in zip(*I.gens))
             points = [tops, tuple(x - 1 for x in tops), tuple(x // 2 for x in tops)]
             ideal_power.cache_clear()
@@ -1474,7 +1481,7 @@ class TestSinglePower:
                 monomials, "_power_step", wraps=monomials._power_step
             ) as step:
                 got = power_contains(I, s, points)
-            assert step.call_count == steps, I
+            assert step.call_count == 0, I
             power = ideal_power(I, s)
             assert got == [contains(power, x) for x in points], I
             assert got[0], I
@@ -1500,11 +1507,69 @@ def membership_cases(draw):
 @example((minimalize(X4, [(3, 0, 0, 0), (0, 1, 0, 0)]), 2, [(1, 0, 0, 0), (0, 1, 0, 0)]))
 @example((minimalize(X4, [(2, 1, 0, 0), (0, 2, 0, 3)]), 1, [(9, 9, 9, 9), (2, 0, 0, 0)]))
 @example((minimalize(X4, [(1, 1, 1, 0)]), 0, [(0, 0, 0, 0), (5, 0, 0, 7)]))
+# The packed fields must hold every generator entry, not only the points':
+# fields sized for (1, 0, 0) alone read c^3 as a divisor of it.
+@example(
+    (
+        minimalize(("a", "b", "c"), [(2, 0, 0), (0, 1, 0), (0, 0, 3)]),
+        1,
+        [(0, 0, 0), (1, 0, 0)],
+    )
+)
+# A canonical point can exceed the points' column maxima: (0, 5) is read as
+# (5, 0), which only a generator on a divides.
+@example((minimalize(("a", "b"), [(1, 0), (0, 1)]), 1, [(0, 5)]))
+@example((minimalize(("a", "b"), [(2, 0), (0, 2)]), 2, [(0, 4)]))
 @given(membership_cases())
 def test_power_membership_matches_the_built_power(case):
     I, s, points = case
     power = ideal_power(I, s)
     assert power_contains(I, s, points) == [contains(power, x) for x in points]
+
+
+class TestMembershipReference:
+    # Large powers against the definition (`reference_power_contains`),
+    # where building the power to check against would be slow.
+
+    def test_star_witness_cells_past_the_limit(self):
+        cells = []
+        for n in range(2, min(8, MAX_VARIABLES - 1) + 1):
+            for t in range(2, n + 1):
+                for s in range(1, MAX_POWER + 1):
+                    if not max_ideal_in_ass_star(n, t, s):
+                        continue
+                    J, T = star_generators(n, t), build_star_witness(n, t, s).T
+                    probes = [T] + [
+                        T[:i] + (T[i] + 1,) + T[i + 1 :] for i in range(len(T))
+                    ]
+                    # The box of the probes, clamped to that of J^s.
+                    radix = [
+                        1 + min(s * max(column), max(entries))
+                        for column, entries in zip(zip(*J.gens), zip(*probes))
+                    ]
+                    if math.prod(radix) <= monomials._STAIRCASE_MAX_BITS:
+                        continue
+                    want = [reference_power_contains(J, s, x) for x in probes]
+                    assert power_contains(J, s, probes) == want, (n, t, s)
+                    assert want == [False] + [True] * (n + 1), (n, t, s)
+                    cells.append((n, t, s))
+        assert cells == [(7, 2, 6), (8, 3, 4), (8, 3, 5), (8, 3, 6)]
+
+    def test_paths_and_cycles(self):
+        rng = random.Random(1)
+        inside = outside = 0
+        for g in (path_graph(9), path_graph(10), cycle_graph(9), cycle_graph(10)):
+            J = partial_cover_ideal(g, 2)
+            for s in range(1, 5):
+                points = [
+                    tuple(rng.randint(0, s) for _ in range(J.nvars))
+                    for _ in range(20)
+                ]
+                want = [reference_power_contains(J, s, x) for x in points]
+                assert power_contains(J, s, points) == want, (g.vertices, s)
+                inside += sum(want)
+                outside += len(want) - sum(want)
+        assert (inside, outside) == (146, 174)
 
 
 class TestStaircaseGate:
@@ -1532,8 +1597,9 @@ class TestStaircaseGate:
         ]
 
     def test_pairs_answer_as_the_staircase(self, monkeypatch):
-        # With the gate shut, every entry point takes the pairs on
-        # ideals the staircase would read, and answers the same.
+        # With the gate shut, the chain and single powers take the pairs
+        # on ideals the staircase would read, and every entry point
+        # answers the same; membership asks no gate at any s, 0 included.
         rng = random.Random(1)
         cells = []
         for name, g in graph_corpus():
@@ -1550,7 +1616,7 @@ class TestStaircaseGate:
             return (
                 associated_primes_of_powers(J, 3),
                 [power_primes(J, s) for s in (1, 2, 3)],
-                [power_contains(J, s, points) for s in (1, 2, 3)],
+                [power_contains(J, s, points) for s in (0, 1, 2, 3)],
             )
 
         expected = [answers(J, points) for _, J, points in cells]
