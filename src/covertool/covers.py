@@ -3,11 +3,12 @@
 J_t(G) is the intersection, over every vertex x and every t-subset S of
 its neighbourhood, of the prime generated by {x} together with S.  By
 Alexander duality that intersection is the dual of the square-free
-ideal generated by the closed t-star products x*x_S, so J_t is read off
-the decomposition engine like every other cover ideal.  Its minimal
-generators are also exactly the products x_W over minimal partial
-t-covers W; the dual and that enumeration live here so they can be
-checked against each other.
+ideal generated by the closed t-star products x*x_S: J_t is the cover
+ideal of the hypergraph of closed t-stars, its generators the minimal
+transversals of the stars, read off the staircase of the {0,1}^n box
+like every other square-free dual.  They are also exactly the products
+x_W over minimal partial t-covers W; the dual and that enumeration live
+here so they can be checked against each other.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .graphs import Graph, find_special_vertex, star_graph
 from .monomials import (
     MonomialIdeal,
     _check_positive,
-    alexander_dual,
+    _squarefree_dual,
+    _support_masks,
     minimalize,
     monomial_str,
     support_vector,
@@ -69,18 +71,14 @@ def enumerate_minimal_partial_covers(g: Graph, t: int) -> list[tuple[str, ...]]:
     return sorted(covers, key=lambda w: (len(w), tuple(order[v] for v in w)))
 
 
-def _star_products(g: Graph, t: int) -> MonomialIdeal:
-    """x*x_S for every vertex x and t-subset S of N(x), minimalized; the
-    zero ideal when no vertex has degree at least t."""
+def _stars(g: Graph, t: int) -> list[tuple[str, ...]]:
+    """The closed t-stars (x, *S): every vertex x and t-subset S of N(x)."""
     _check_positive("t", t)
-    return minimalize(
-        g.vertices,
-        [
-            support_vector([g.index(v) for v in (x, *subset)], g.n)
-            for x in g.vertices
-            for subset in itertools.combinations(g.neighbors(x), t)
-        ],
-    )
+    return [
+        (x, *subset)
+        for x in g.vertices
+        for subset in itertools.combinations(g.neighbors(x), t)
+    ]
 
 
 def partial_cover_ideal(g: Graph, t: int) -> MonomialIdeal:
@@ -90,7 +88,7 @@ def partial_cover_ideal(g: Graph, t: int) -> MonomialIdeal:
     Vertices of degree below t contribute no star; if no vertex has
     degree at least t the dual of the zero ideal is the unit ideal.
     """
-    return alexander_dual(_star_products(g, t))
+    return _squarefree_dual(g.vertices, _support_masks(g.vertices, _stars(g, t)))
 
 
 def star_generators(n: int, t: int) -> MonomialIdeal:
@@ -111,7 +109,8 @@ def star_generators(n: int, t: int) -> MonomialIdeal:
 def generalized_edge_ideal(g: Graph, t: int) -> MonomialIdeal:
     """The Alexander dual of J_t(g): for t=1 the edge ideal, in general
     generated by x times the products of t-subsets of each N(x)."""
-    ideal = _star_products(g, t)
+    stars = [support_vector(map(g.index, star), g.n) for star in _stars(g, t)]
+    ideal = minimalize(g.vertices, stars)
     if ideal.is_zero:
         raise ValueError(
             f"J_{t} is the unit ideal (no vertex has degree >= {t}); "

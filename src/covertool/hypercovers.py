@@ -18,9 +18,8 @@ from .graphs import Hypergraph, star_graph
 from .monomials import (
     MonomialIdeal,
     _check_positive,
-    alexander_dual,
-    minimalize,
-    support_vector,
+    _squarefree_dual,
+    _support_masks,
 )
 
 Coloring = dict[str, int]
@@ -29,8 +28,7 @@ Coloring = dict[str, int]
 def hypergraph_cover_ideal(h: Hypergraph) -> MonomialIdeal:
     """The ideal of minimal vertex covers (transversals) of h: the
     Alexander dual of its edge ideal."""
-    edges = [support_vector([h.index(v) for v in e], h.n) for e in h.edges]
-    return alexander_dual(minimalize(h.vertices, edges))
+    return _squarefree_dual(h.vertices, _support_masks(h.vertices, h.edges))
 
 
 def is_proper_coloring(h: Hypergraph, coloring: Coloring) -> bool:

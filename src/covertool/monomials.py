@@ -16,13 +16,29 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .staircase import Box, Shifts, corners
+from .staircase import Box, Shifts, corners, transversals
 
 
 def support_vector(indices, nvars: int) -> tuple[int, ...]:
     """The square-free exponent vector with a 1 exactly at `indices`."""
     members = set(indices)
     return tuple(int(i in members) for i in range(nvars))
+
+
+def _support_masks(ambient, supports) -> list[int]:
+    """Each support, a collection of labels of ambient, as one int whose
+    binary digits are the entries of its square-free vector."""
+    bit = {v: 1 << len(ambient) - 1 - i for i, v in enumerate(ambient)}
+    return [sum(map(bit.__getitem__, support)) for support in supports]
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # vector bytes <-> binary digits
+_ENTRIES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _mask_vector(mask: int, nvars: int) -> tuple[int, ...]:
+    """The square-free vector in nvars variables whose digits are mask."""
+    return tuple(bin(mask | 1 << nvars)[3:].encode().translate(_ENTRIES))
 
 
 @dataclass(frozen=True)
@@ -716,14 +732,15 @@ def _staircase(box: Box, reps, classes, top) -> list[tuple[int, ...]]:
     On a canonical x the upward closure of the canonical reps alone is
     exact (see `_classes`), and that is all `corners` reads.
     """
-    return corners(box, box.upward(reps), box.corner_tests(classes), top)
+    U = box.upward(map(box.offset, reps))
+    return corners(box, U, box.corner_tests(classes), top)
 
 
 def _decompose(nvars: int, classes, reps):
     """The classes, `top` and the canonical component vectors, one per
     orbit, of the ideal of a pair (see `_powers`): the one decomposition
-    behind irreducible_decomposition, the associated primes and
-    alexander_dual.
+    behind irreducible_decomposition and the associated primes, and
+    behind the square-free duals past the limit (see `_squarefree_dual`).
 
     A power starts from the classes of its base and its canonical
     generators.  A box that `_box` admits is read off the staircase.
@@ -938,22 +955,43 @@ def witness_search(I: MonomialIdeal, P: MonomialPrime) -> tuple[int, ...] | None
     return None
 
 
+def _squarefree_dual(ambient, masks, gens=()) -> MonomialIdeal:
+    """The Alexander dual of the square-free ideal whose minimal
+    generators have the supports `masks` (see `_support_masks`), an
+    antichain up to repeats: the one route to every dual, J_t and the
+    hypergraph cover ideals included.
+
+    In a box that `_box` admits the dual's generators are the minimal
+    transversals read off its staircase (`transversals`), and ordering
+    their masks by degree and then decreasing value is `_canon_key`.
+    Larger boxes go through `_decompose` on the generators, `gens` when
+    the caller holds them as vectors, so masks may then be lazy.
+    """
+    n = len(ambient)
+    box = _box([2] * n)
+    if box is not None:
+        duals = sorted(transversals(box, masks), key=lambda m: (m.bit_count(), -m))
+        return MonomialIdeal(ambient, tuple(_mask_vector(m, n) for m in duals))
+    gens = gens or sorted({_mask_vector(m, n) for m in masks}, key=_canon_key)
+    if not gens or not any(gens[0]):
+        return zero_ideal(ambient) if gens else unit_ideal(ambient)
+    supports = _supports(*_decompose(n, None, gens))
+    return minimalize(ambient, [tuple(map(int, s)) for s in supports])
+
+
 def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
     """The Alexander dual of a square-free ideal.
 
     Generators are the minimal transversals of the generator supports.
     The irreducible components of a square-free ideal are exactly the
-    primes on those transversals, so the dual is read off the
-    decomposition; it is an involution on square-free ideals.
+    primes on those transversals, so the dual is read off their
+    staircase (see `_squarefree_dual`); it is an involution on
+    square-free ideals.
     """
     if not I.is_squarefree:
         raise ValueError("Alexander duality is defined for square-free ideals only")
-    if I.is_unit:
-        return zero_ideal(I.ambient)
-    if I.is_zero:
-        return unit_ideal(I.ambient)
-    supports = _supports(*_decompose(I.nvars, None, I.gens))
-    return minimalize(I.ambient, [tuple(map(int, s)) for s in supports])
+    masks = (int(bytes(g).translate(_DIGITS) or b"0", 2) for g in I.gens)
+    return _squarefree_dual(I.ambient, masks, I.gens)
 
 
 # Serialization: `x1^2*x3` style, exponent 1 elided, `1` for the empty

@@ -45,12 +45,12 @@ class Box:
     def offset(self, e) -> int:
         return sum(map(operator.mul, e, self.stride))
 
-    def upward(self, vecs) -> int:
-        """The points of the box that some vector of vecs divides: the
-        points of vecs, then one shift along each axis by 1, 2, 4, ...
-        steps."""
+    def upward(self, offsets) -> int:
+        """The points of the box that the point at some offset of offsets
+        divides: those points, then one shift along each axis by 1, 2,
+        4, ... steps."""
         points = bytearray(self.size // 8 + 1)
-        for at in map(self.offset, vecs):
+        for at in offsets:
             points[at >> 3] |= 1 << (at & 7)
         U = int.from_bytes(points, "little")
         for i, r in enumerate(self.radix):
@@ -173,6 +173,17 @@ def corners(box: Box, U: int, tests, top: int) -> list[tuple[int, ...]]:
     is skipped: x + e_i is then an image of x + e_j, with j where the run
     of equal entries starts, and x + e_j is canonical and tested.
     """
+    found, columns = _corner_offsets(box, U, tests), []
+    for r in box.radix:
+        entry = [*range(1, r), top]
+        columns.append([entry[x % r] for x in found])
+        found = [x // r for x in found]
+    return list(zip(*columns))
+
+
+def _corner_offsets(box: Box, U: int, tests) -> list[int]:
+    """The offsets of the corners that `corners` reads, in increasing
+    order."""
     marks = box.full ^ U
     for shift, keep, free in tests:
         up = U >> shift
@@ -185,9 +196,19 @@ def corners(box: Box, U: int, tests, top: int) -> list[tuple[int, ...]]:
             bit = word & -word
             word ^= bit
             found.append(8 * at + bit.bit_length() - 1)
-    columns = []
-    for r in box.radix:
-        entry = [*range(1, r), top]
-        columns.append([entry[x % r] for x in found])
-        found = [x // r for x in found]
-    return list(zip(*columns))
+    return found
+
+
+def transversals(box: Box, masks) -> list[int]:
+    """The minimal transversals of the sets of variables `masks`, as
+    masks; box has radix 2 on every variable.
+
+    There a point's offset is its support mask, so the points of the
+    square-free ideal the sets generate are the upward closure of the
+    masks.  Its components are the primes on the minimal transversals, and that of
+    a corner x is on the variables with x_i = 0 (see `corners`): the
+    transversal is the complement of x.  Corners form an antichain.
+    """
+    everything = box.size - 1
+    tests = box.corner_tests(())
+    return [everything ^ x for x in _corner_offsets(box, box.upward(masks), tests)]

@@ -1,9 +1,10 @@
 """Prime-by-prime intersection: the reference for J_t.
 
 The library reads J_t(G) off the Alexander dual of the closed t-star
-products.  This builds it from the definition instead, intersecting the
-primes <x, S> one at a time, so it never touches the decomposition
-engine that the dual goes through.
+products, as the minimal transversals of the stars on a staircase.
+This builds it from the definition instead, intersecting the primes
+<x, S> one at a time, so it never touches the staircase or the
+decomposition engine that the dual goes through.
 """
 
 import itertools

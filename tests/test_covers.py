@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
 from covers_reference import reference_cover_ideal
 from hypothesis import given
@@ -111,6 +113,34 @@ class TestPartialCoverIdeal:
                 assert partial_cover_ideal(g, t) == reference_cover_ideal(
                     g, t
                 ), (name, t)
+
+    def test_complete_enumerations_match_brute_force(self):
+        # Every tree on <= 9 vertices, its vertices in a seeded shuffled
+        # order, and every connected graph on <= 6 vertices, each
+        # t <= max degree: J_t equals the ideal of the minimal partial
+        # t-covers found by subset search, and its dual is the ideal of
+        # the closed t-star products.
+        rng = random.Random(23)
+        graphs = []
+        for n in range(2, 10):
+            for tree in nx.nonisomorphic_trees(n):
+                order = list(map(str, tree.nodes))
+                rng.shuffle(order)
+                graphs.append(Graph.build(order, (map(str, e) for e in tree.edges)))
+        for atlas in nx.graph_atlas_g()[1:]:
+            if atlas.number_of_nodes() <= 6 and nx.is_connected(atlas):
+                graphs.append(
+                    Graph.build(map(str, atlas.nodes), (map(str, e) for e in atlas.edges))
+                )
+        cells = 0
+        for g in graphs:
+            for t in range(1, g.max_degree() + 1):
+                J = partial_cover_ideal(g, t)
+                covers = enumerate_minimal_partial_covers(g, t)
+                assert J == minimalize(g.vertices, cover_monomials(g, covers)), (g, t)
+                assert alexander_dual(J) == generalized_edge_ideal(g, t), (g, t)
+                cells += 1
+        assert cells == 898
 
     def test_monotone_in_t(self):
         for _, g in graph_corpus():

@@ -6,6 +6,7 @@ so they are independent of the code under test.
 """
 
 import ast
+import contextlib
 import itertools
 import math
 import operator
@@ -30,6 +31,7 @@ from powers_reference import reference_power_contains
 from transversals import edge_ideal, reference_dual
 
 import covertool
+from covertool import covers as covers_module
 from covertool import monomials
 from covertool.associated import (
     astab_tree,
@@ -74,6 +76,7 @@ from covertool.monomials import (
     power_primes,
     prime_str,
     sorted_primes,
+    support_vector,
     unit_ideal,
     witness_search,
     zero_ideal,
@@ -787,16 +790,54 @@ class TestAlexanderDual:
                 assert alexander_dual(edges) == reference_dual(edges), (name, t)
 
     @pytest.mark.parametrize("n, t", [(9, 4), (10, 4), (10, 5)])
-    def test_orbit_path_matches_transversal_reference(self, n, t):
-        # At least 64 generators in interchangeable leaves: the dual is
-        # read off a decomposition on orbit representatives.
+    def test_orbit_path_matches_transversal_reference(self, n, t, monkeypatch):
+        # At least 64 generators in interchangeable leaves: with the gate
+        # shut, the dual is read off a decomposition on orbit
+        # representatives.
         leaves = tuple(range(1, n + 1))
+        monkeypatch.setattr(monomials, "_box", lambda radix: None)
         for I in (star_generators(n, t), generalized_edge_ideal(star_graph(n), t)):
             assert len(I.gens) >= 64
             assert classes_of_gens(I.gens, I.nvars) == (leaves,)
-            dual = alexander_dual(I)
+            with mock.patch.object(
+                monomials, "_components", wraps=monomials._components
+            ) as loop:
+                dual = alexander_dual(I)
+            assert loop.call_count == 1
             assert dual == reference_dual(I)
             assert alexander_dual(dual) == I
+
+    def test_inside_the_limit_nothing_is_minimalized(self):
+        # Inside the limit every square-free dual is read off the
+        # staircase of the {0,1}^n box: no decomposition and no
+        # minimalization (every `minimalize` goes through
+        # `_minimalize_exps`).  Past it, on P19, J_t is decomposed.
+        graphs = [g for _, g in graph_corpus()]
+        cells = [(g, t) for g in graphs for t in range(1, g.max_degree() + 1)]
+        edges = [generalized_edge_ideal(g, t) for g, t in cells]
+        covers = [partial_cover_ideal(g, t) for g, t in cells]
+        spies = {}
+        with contextlib.ExitStack() as stack:
+            for module, name in [
+                (monomials, "_decompose"),
+                (monomials, "_minimalize_exps"),
+                (monomials, "minimalize"),
+                (covers_module, "minimalize"),
+            ]:
+                spies[module.__name__, name] = stack.enter_context(
+                    mock.patch.object(module, name, wraps=getattr(module, name))
+                )
+            for g, t in cells:
+                partial_cover_ideal(g, t)
+            for I in edges + covers:
+                alexander_dual(I)
+            for _, h in hypergraph_corpus():
+                hypergraph_cover_ideal(h)
+            assert {key: spy.call_count for key, spy in spies.items()} == dict.fromkeys(
+                spies, 0
+            )
+            partial_cover_ideal(path_graph(19), 1)
+            assert spies["covertool.monomials", "_decompose"].call_count == 1
 
 
 # Randomized law checks.  Everything is small (4 variables, up to 7
@@ -1598,8 +1639,9 @@ class TestStaircaseGate:
 
     def test_pairs_answer_as_the_staircase(self, monkeypatch):
         # With the gate shut, the chain and single powers take the pairs
-        # on ideals the staircase would read, and every entry point
-        # answers the same; membership asks no gate at any s, 0 included.
+        # on ideals the staircase would read, the square-free duals take
+        # the decomposition, and every entry point answers the same;
+        # membership asks no gate at any s, 0 included.
         rng = random.Random(1)
         cells = []
         for name, g in graph_corpus():
@@ -1619,12 +1661,28 @@ class TestStaircaseGate:
                 [power_contains(J, s, points) for s in (0, 1, 2, 3)],
             )
 
+        def duals():
+            # The square-free duals: J_t, the dual of J_t and of its
+            # generalized edge ideal, the hypergraph cover ideals, and
+            # the unit J_t past the largest degree and the duals of the
+            # zero and unit ideals.
+            found = [alexander_dual(zero_ideal(X4)), alexander_dual(unit_ideal(X4))]
+            for name, g in graph_corpus():
+                for t in range(1, g.max_degree() + 1):
+                    J = partial_cover_ideal(g, t)
+                    edges = generalized_edge_ideal(g, t)
+                    found.append((J, alexander_dual(J), alexander_dual(edges)))
+                found.append(partial_cover_ideal(g, g.max_degree() + 1))
+            return found + [hypergraph_cover_ideal(h) for _, h in hypergraph_corpus()]
+
         expected = [answers(J, points) for _, J, points in cells]
+        expected_duals = duals()
         gate = []
         monkeypatch.setattr(monomials, "_box", lambda radix: gate.append(radix))
         for (key, J, points), want in zip(cells, expected):
             assert answers(J, points) == want, key
-        assert gate
+        assert duals() == expected_duals
+        assert [2, 2] in gate
 
 
 @given(ideals_strategy())
@@ -1633,11 +1691,23 @@ def test_power_two_is_self_product(I):
     assert ideal_power(I, 3) == reference_power(I, 3)
 
 
-@given(st.lists(st.tuples(*([st.booleans()] * 4)), min_size=1, max_size=4))
-def test_duality_involution_on_squarefree(supports):
-    ambient = ("x1", "x2", "x3", "x4")
-    gens = [tuple(int(b) for b in row) for row in supports]
-    I = minimalize(ambient, gens)
+@st.composite
+def squarefree_with_unused(draw):
+    """A square-free ideal on 1 to 8 variables, zero and unit ideals
+    included, with a drawn set of variables in no generator."""
+    nvars = draw(st.integers(1, 8))
+    variables = st.integers(0, nvars - 1)
+    unused = draw(st.sets(variables))
+    supports = draw(st.lists(st.sets(variables), max_size=6))
+    ambient = tuple(f"x{i}" for i in range(1, nvars + 1))
+    return minimalize(ambient, [support_vector(s - unused, nvars) for s in supports])
+
+
+@given(squarefree_with_unused())
+@example(minimalize(("a", "b", "c"), [(1, 0, 1), (1, 1, 0)]))
+@example(zero_ideal(("a", "b")))
+@example(unit_ideal(("a",)))
+def test_duality_involution_on_squarefree(I):
     assert alexander_dual(I) == reference_dual(I)
     assert alexander_dual(alexander_dual(I)) == I
 
