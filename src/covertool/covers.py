@@ -5,10 +5,10 @@ its neighbourhood, of the prime generated by {x} together with S.  By
 Alexander duality that intersection is the dual of the square-free
 ideal generated by the closed t-star products x*x_S: J_t is the cover
 ideal of the hypergraph of closed t-stars, its generators the minimal
-transversals of the stars, read off the staircase of the {0,1}^n box
-like every other square-free dual.  They are also exactly the products
-x_W over minimal partial t-covers W; the dual and that enumeration live
-here so they can be checked against each other.
+transversals of the stars, read off the staircase of the {0,1} box on
+the stars' vertices like every other square-free dual.  They are also
+exactly the products x_W over minimal partial t-covers W; the dual and
+that enumeration live here so they can be checked against each other.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .monomials import (
     MonomialIdeal,
     _check_positive,
     _squarefree_dual,
-    _support_masks,
     minimalize,
     monomial_str,
     support_vector,
@@ -88,7 +87,7 @@ def partial_cover_ideal(g: Graph, t: int) -> MonomialIdeal:
     Vertices of degree below t contribute no star; if no vertex has
     degree at least t the dual of the zero ideal is the unit ideal.
     """
-    return _squarefree_dual(g.vertices, _support_masks(g.vertices, _stars(g, t)))
+    return _squarefree_dual(g.vertices, _stars(g, t))
 
 
 def star_generators(n: int, t: int) -> MonomialIdeal:

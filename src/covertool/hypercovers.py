@@ -19,7 +19,6 @@ from .monomials import (
     MonomialIdeal,
     _check_positive,
     _squarefree_dual,
-    _support_masks,
 )
 
 Coloring = dict[str, int]
@@ -28,7 +27,7 @@ Coloring = dict[str, int]
 def hypergraph_cover_ideal(h: Hypergraph) -> MonomialIdeal:
     """The ideal of minimal vertex covers (transversals) of h: the
     Alexander dual of its edge ideal."""
-    return _squarefree_dual(h.vertices, _support_masks(h.vertices, h.edges))
+    return _squarefree_dual(h.vertices, h.edges)
 
 
 def is_proper_coloring(h: Hypergraph, coloring: Coloring) -> bool:

@@ -25,22 +25,6 @@ def support_vector(indices, nvars: int) -> tuple[int, ...]:
     return tuple(int(i in members) for i in range(nvars))
 
 
-def _support_masks(ambient, supports) -> list[int]:
-    """Each support, a collection of labels of ambient, as one int whose
-    binary digits are the entries of its square-free vector."""
-    bit = {v: 1 << len(ambient) - 1 - i for i, v in enumerate(ambient)}
-    return [sum(map(bit.__getitem__, support)) for support in supports]
-
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")  # vector bytes <-> binary digits
-_ENTRIES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _mask_vector(mask: int, nvars: int) -> tuple[int, ...]:
-    """The square-free vector in nvars variables whose digits are mask."""
-    return tuple(bin(mask | 1 << nvars)[3:].encode().translate(_ENTRIES))
-
-
 @dataclass(frozen=True)
 class MonomialPrime:
     """A prime generated by variables, identified with its index support."""
@@ -955,28 +939,42 @@ def witness_search(I: MonomialIdeal, P: MonomialPrime) -> tuple[int, ...] | None
     return None
 
 
-def _squarefree_dual(ambient, masks, gens=()) -> MonomialIdeal:
-    """The Alexander dual of the square-free ideal whose minimal
-    generators have the supports `masks` (see `_support_masks`), an
-    antichain up to repeats: the one route to every dual, J_t and the
-    hypergraph cover ideals included.
+_ENTRIES = bytes.maketrans(b"01", b"\0\1")  # binary digits -> vector entries
 
-    In a box that `_box` admits the dual's generators are the minimal
-    transversals read off its staircase (`transversals`), and ordering
-    their masks by degree and then decreasing value is `_canon_key`.
-    Larger boxes go through `_decompose` on the generators, `gens` when
-    the caller holds them as vectors, so masks may then be lazy.
+
+def _squarefree_dual(ambient, supports, gens=()) -> MonomialIdeal:
+    """The Alexander dual of the square-free ideal whose minimal
+    generators have the supports `supports`, collections of labels of
+    ambient, an antichain up to repeats: the one route to every dual,
+    J_t and the hypergraph cover ideals included.
+
+    Only the k variables in some support count.  In a box that `_box`
+    admits, {0,1}^k, the dual's generators are the minimal transversals
+    read off its staircase (`transversals`) as masks whose binary digits
+    are their entries on those variables, so ordering the masks by
+    degree and then decreasing value is `_canon_key`.  Past it the
+    generators go through `_decompose`; `gens`, when the caller holds
+    them as vectors, only spares converting the supports back.
     """
-    n = len(ambient)
-    box = _box([2] * n)
-    if box is not None:
-        duals = sorted(transversals(box, masks), key=lambda m: (m.bit_count(), -m))
-        return MonomialIdeal(ambient, tuple(_mask_vector(m, n) for m in duals))
-    gens = gens or sorted({_mask_vector(m, n) for m in masks}, key=_canon_key)
-    if not gens or not any(gens[0]):
-        return zero_ideal(ambient) if gens else unit_ideal(ambient)
-    supports = _supports(*_decompose(n, None, gens))
-    return minimalize(ambient, [tuple(map(int, s)) for s in supports])
+    used = set().union(*supports)
+    axes = [v for v in ambient if v in used]
+    k, n = len(axes), len(ambient)
+    if not k:  # the zero ideal, or the unit ideal with its one empty support
+        return zero_ideal(ambient) if supports else unit_ideal(ambient)
+    box = _box([2] * k)
+    if box is None:
+        vecs = (support_vector(map(ambient.index, s), n) for s in supports)
+        found = _decompose(n, None, gens or sorted(set(vecs), key=_canon_key))
+        return minimalize(ambient, [tuple(map(int, s)) for s in _supports(*found)])
+    bit = {v: 1 << k - 1 - j for j, v in enumerate(axes)}
+    masks = [sum(map(bit.__getitem__, s)) for s in supports]
+    duals = sorted(transversals(box, masks), key=lambda m: (m.bit_count(), -m))
+    vecs = [bin(m | 1 << k)[3:].encode().translate(_ENTRIES) for m in duals]
+    if k < n:  # spread the entries over ambient, a 0 at each unused variable
+        # n > k >= 1 positions, so the getter returns tuples
+        at = [axes.index(v) if v in bit else k for v in ambient]
+        vecs = list(map(operator.itemgetter(*at), (e + b"\0" for e in vecs)))
+    return MonomialIdeal(ambient, tuple(map(tuple, vecs)))
 
 
 def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
@@ -990,8 +988,8 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
     """
     if not I.is_squarefree:
         raise ValueError("Alexander duality is defined for square-free ideals only")
-    masks = (int(bytes(g).translate(_DIGITS) or b"0", 2) for g in I.gens)
-    return _squarefree_dual(I.ambient, masks, I.gens)
+    supports = [tuple(itertools.compress(I.ambient, g)) for g in I.gens]
+    return _squarefree_dual(I.ambient, supports, I.gens)
 
 
 # Serialization: `x1^2*x3` style, exponent 1 elided, `1` for the empty

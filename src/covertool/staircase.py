@@ -205,9 +205,10 @@ def transversals(box: Box, masks) -> list[int]:
 
     There a point's offset is its support mask, so the points of the
     square-free ideal the sets generate are the upward closure of the
-    masks.  Its components are the primes on the minimal transversals, and that of
-    a corner x is on the variables with x_i = 0 (see `corners`): the
-    transversal is the complement of x.  Corners form an antichain.
+    masks.  Its components are the primes on the minimal transversals,
+    and that of a corner x is on the variables with x_i = 0 (see
+    `corners`): the transversal is the complement of x.  Corners form
+    an antichain.
     """
     everything = box.size - 1
     tests = box.corner_tests(())

@@ -809,9 +809,11 @@ class TestAlexanderDual:
 
     def test_inside_the_limit_nothing_is_minimalized(self):
         # Inside the limit every square-free dual is read off the
-        # staircase of the {0,1}^n box: no decomposition and no
-        # minimalization (every `minimalize` goes through
-        # `_minimalize_exps`).  Past it, on P19, J_t is decomposed.
+        # staircase of the {0,1} box on the variables in some
+        # generator: no decomposition and no minimalization (every
+        # `minimalize` goes through `_minimalize_exps`).  J_3 of the
+        # spider on 20 vertices uses 4 of them, so it stays inside the
+        # limit.  Past it, on P19, J_t is decomposed.
         graphs = [g for _, g in graph_corpus()]
         cells = [(g, t) for g in graphs for t in range(1, g.max_degree() + 1)]
         edges = [generalized_edge_ideal(g, t) for g, t in cells]
@@ -833,6 +835,7 @@ class TestAlexanderDual:
                 alexander_dual(I)
             for _, h in hypergraph_corpus():
                 hypergraph_cover_ideal(h)
+            assert len(partial_cover_ideal(spider(7, 7, 5), 3).ambient) == 20
             assert {key: spy.call_count for key, spy in spies.items()} == dict.fromkeys(
                 spies, 0
             )
@@ -1681,6 +1684,9 @@ class TestStaircaseGate:
         monkeypatch.setattr(monomials, "_box", lambda radix: gate.append(radix))
         for (key, J, points), want in zip(cells, expected):
             assert answers(J, points) == want, key
+        assert gate
+        assert any(r != [2] * len(r) for r in gate)
+        gate.clear()
         assert duals() == expected_duals
         assert [2, 2] in gate
 

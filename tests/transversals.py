@@ -1,10 +1,11 @@
 """Brute-force minimal transversals: the reference for Alexander duals.
 
-The library reads duals off the corners of a staircase in the {0,1}^n
-box, or off the irreducible decomposition past its limit.  This walks
-vertex subsets by size instead and keeps each one that meets every
-generator support and contains no smaller hit, so it shares nothing
-with the engine it checks.
+The library reads duals off the corners of a staircase in the {0,1}
+box on the variables of the generator supports, or off the irreducible
+decomposition past its limit.  This walks vertex subsets by size
+instead and keeps each one that meets every generator support and
+contains no smaller hit, so it shares nothing with the engine it
+checks.
 """
 
 import itertools
