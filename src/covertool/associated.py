@@ -311,8 +311,8 @@ def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:
         raise ValueError("the witness construction needs t >= 2")
     if not max_ideal_in_ass_star(n, t, s):
         raise ValueError(
-            f"maximal ideal not associated at this power: "
-            f"s(t-1) = {s * (t - 1)} < n-1 = {n - 1}"
+            "maximal ideal not associated at this power: s(t-1) = "
+            f"{s * (t - 1)} < n-1 = {n - 1}; the criterion is s(t-1) >= n-1"
         )
     s0 = math.ceil((n - 1) / (t - 1))
     e = s - s0

@@ -4,11 +4,11 @@ J_t(G) is the intersection, over every vertex x and every t-subset S of
 its neighbourhood, of the prime generated by {x} together with S.  By
 Alexander duality that intersection is the dual of the square-free
 ideal generated by the closed t-star products x*x_S: J_t is the cover
-ideal of the hypergraph of closed t-stars, its generators the minimal
-transversals of the stars, read off the staircase of the {0,1} box on
-the stars' vertices like every other square-free dual.  They are also
-exactly the products x_W over minimal partial t-covers W; the dual and
-that enumeration live here so they can be checked against each other.
+ideal of the hypergraph of closed t-stars.  It, that ideal and the star
+closed form are built from their supports like every square-free ideal
+(see `monomials._squarefree`).  The generators of J_t are also exactly
+the products x_W over minimal partial t-covers W; the dual and that
+enumeration live here so they can be checked against each other.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from .graphs import Graph, find_special_vertex, star_graph
 from .monomials import (
     MonomialIdeal,
     _check_positive,
+    _squarefree,
     _squarefree_dual,
-    minimalize,
     monomial_str,
-    support_vector,
 )
 
 
@@ -97,19 +96,14 @@ def star_generators(n: int, t: int) -> MonomialIdeal:
     together with every product of n-t+1 distinct leaf variables.
     """
     _check_star(n, t)
-    ambient = star_graph(n).vertices
-    nv = n + 1
-    gens = [support_vector((0,), nv)]
-    for combo in itertools.combinations(range(1, nv), n - t + 1):
-        gens.append(support_vector(combo, nv))
-    return minimalize(ambient, gens)
+    z, *leaves = ambient = star_graph(n).vertices
+    return _squarefree(ambient, [(z,), *itertools.combinations(leaves, n - t + 1)])
 
 
 def generalized_edge_ideal(g: Graph, t: int) -> MonomialIdeal:
     """The Alexander dual of J_t(g): for t=1 the edge ideal, in general
     generated by x times the products of t-subsets of each N(x)."""
-    stars = [support_vector(map(g.index, star), g.n) for star in _stars(g, t)]
-    ideal = minimalize(g.vertices, stars)
+    ideal = _squarefree(g.vertices, _stars(g, t))
     if ideal.is_zero:
         raise ValueError(
             f"J_{t} is the unit ideal (no vertex has degree >= {t}); "

@@ -96,12 +96,7 @@ class GapReport:
 
     @property
     def all_checks_pass(self) -> bool:
-        return (
-            self.gap_holds
-            and self.baseline_holds
-            and self.ideal_matches_star
-            and self.oracle_astab == self.astab
-        )
+        return not self.refuted and not self.tail_undetermined
 
     @property
     def tail_undetermined(self) -> bool:

@@ -43,8 +43,7 @@ class MonomialPrime:
         return tuple(ambient[i] for i in self.indices)
 
     def as_ideal(self, ambient: tuple[str, ...]) -> MonomialIdeal:
-        n = len(ambient)
-        return minimalize(ambient, [support_vector((i,), n) for i in self.indices])
+        return _squarefree(ambient, [(ambient[i],) for i in self.indices])
 
 
 @dataclass(frozen=True)
@@ -736,12 +735,12 @@ def _decompose(nvars: int, classes, reps):
 
     Both kernels were timed on 161 cells, powers 2 to 4 of J_2 and J_3
     of 7 or 8 trees on each of 8, 9 and 10 vertices and powers 2 to 5
-    of stars K_{1,6} to K_{1,10}.  The staircase was faster on all 99 boxes of at most 2^17
-    points, on 11 of the 14 in (2^17, 2^18] and on 19 of the 21 in
-    (2^18, 2^19].  There t = 2 star cells, whose few orbits keep the
-    incremental loop short, lost by up to 1.35 times; above 2^19 cells
-    lost by up to 25 times.  Every tree on 10 vertices took as long
-    with the limit at 2^18, 2^19 or 2^20.
+    of stars K_{1,6} to K_{1,10}.  The staircase was faster on all 99
+    boxes of at most 2^17 points, on 11 of the 14 in (2^17, 2^18] and on
+    19 of the 21 in (2^18, 2^19].  There t = 2 star cells, whose few
+    orbits keep the incremental loop short, lost by up to 1.35 times;
+    above 2^19 cells lost by up to 25 times.  Every tree on 10 vertices
+    took as long with the limit at 2^18, 2^19 or 2^20.
 
     Once the loop skipped the orbit members no held component misses,
     both kernels were timed again, best of three, on the 69 star cells
@@ -942,39 +941,56 @@ def witness_search(I: MonomialIdeal, P: MonomialPrime) -> tuple[int, ...] | None
 _ENTRIES = bytes.maketrans(b"01", b"\0\1")  # binary digits -> vector entries
 
 
-def _squarefree_dual(ambient, supports, gens=()) -> MonomialIdeal:
+def _masks(ambient, supports) -> tuple[dict, list[int]]:
+    """The bit of each variable of ambient in some support, the first
+    highest, and the masks of supports on them: a mask's binary digits
+    are its entries there.  `_ideal` converts back."""
+    used = set().union(*supports)
+    axes = [v for v in ambient if v in used]
+    bit = {v: 1 << len(axes) - 1 - j for j, v in enumerate(axes)}
+    return bit, [sum(map(bit.__getitem__, s)) for s in supports]
+
+
+def _ideal(ambient, bit, masks) -> MonomialIdeal:
+    """The square-free ideal of the distinct nonzero masks `masks`, an
+    antichain, on the variables of `bit` (see `_masks`), 0 elsewhere."""
+    k = len(bit)
+    ordered = sorted(masks, key=lambda m: (m.bit_count(), -m))  # `_canon_key`
+    vecs = [bin(m | 1 << k)[3:].encode().translate(_ENTRIES) for m in ordered]
+    if k < len(ambient):  # n > k >= 1 if any mask, so the getter returns tuples
+        at = [k - bit[v].bit_length() if v in bit else k for v in ambient]
+        vecs = map(operator.itemgetter(*at), (e + b"\0" for e in vecs))
+    return MonomialIdeal(tuple(ambient), tuple(map(tuple, vecs)))
+
+
+def _squarefree(ambient, supports) -> MonomialIdeal:
+    """The square-free ideal whose minimal generators have the supports
+    `supports`, nonempty collections of labels of ambient, an antichain
+    up to repeats."""
+    bit, masks = _masks(ambient, supports)
+    return _ideal(ambient, bit, set(masks))
+
+
+def _squarefree_dual(ambient, supports) -> MonomialIdeal:
     """The Alexander dual of the square-free ideal whose minimal
     generators have the supports `supports`, collections of labels of
     ambient, an antichain up to repeats: the one route to every dual,
-    J_t and the hypergraph cover ideals included.
-
-    Only the k variables in some support count.  In a box that `_box`
-    admits, {0,1}^k, the dual's generators are the minimal transversals
-    read off its staircase (`transversals`) as masks whose binary digits
-    are their entries on those variables, so ordering the masks by
-    degree and then decreasing value is `_canon_key`.  Past it the
-    generators go through `_decompose`; `gens`, when the caller holds
-    them as vectors, only spares converting the supports back.
+    J_t and the hypergraph cover ideals included.  Only the k variables
+    in some support count (see `_masks`).  In a box that `_box` admits,
+    {0,1}^k, the dual's masks are the minimal transversals read off its
+    staircase (`transversals`); past it, the supports of the components
+    `_decompose` finds on those variables.
     """
-    used = set().union(*supports)
-    axes = [v for v in ambient if v in used]
-    k, n = len(axes), len(ambient)
-    if not k:  # the zero ideal, or the unit ideal with its one empty support
+    bit, masks = _masks(ambient, supports)
+    if not bit:  # the zero ideal, or the unit ideal with its one empty support
         return zero_ideal(ambient) if supports else unit_ideal(ambient)
-    box = _box([2] * k)
+    box = _box([2] * len(bit))
     if box is None:
-        vecs = (support_vector(map(ambient.index, s), n) for s in supports)
-        found = _decompose(n, None, gens or sorted(set(vecs), key=_canon_key))
-        return minimalize(ambient, [tuple(map(int, s)) for s in _supports(*found)])
-    bit = {v: 1 << k - 1 - j for j, v in enumerate(axes)}
-    masks = [sum(map(bit.__getitem__, s)) for s in supports]
-    duals = sorted(transversals(box, masks), key=lambda m: (m.bit_count(), -m))
-    vecs = [bin(m | 1 << k)[3:].encode().translate(_ENTRIES) for m in duals]
-    if k < n:  # spread the entries over ambient, a 0 at each unused variable
-        # n > k >= 1 positions, so the getter returns tuples
-        at = [axes.index(v) if v in bit else k for v in ambient]
-        vecs = list(map(operator.itemgetter(*at), (e + b"\0" for e in vecs)))
-    return MonomialIdeal(ambient, tuple(map(tuple, vecs)))
+        found = _decompose(len(bit), None, _ideal(tuple(bit), bit, set(masks)).gens)
+        duals = [sum(itertools.compress(bit.values(), s)) for s in _supports(*found)]
+    else:
+        duals = transversals(box, masks)
+    return _ideal(ambient, bit, duals)
 
 
 def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
@@ -989,7 +1005,7 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
     if not I.is_squarefree:
         raise ValueError("Alexander duality is defined for square-free ideals only")
     supports = [tuple(itertools.compress(I.ambient, g)) for g in I.gens]
-    return _squarefree_dual(I.ambient, supports, I.gens)
+    return _squarefree_dual(I.ambient, supports)
 
 
 # Serialization: `x1^2*x3` style, exponent 1 elided, `1` for the empty

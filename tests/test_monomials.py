@@ -31,7 +31,6 @@ from powers_reference import reference_power_contains
 from transversals import edge_ideal, reference_dual
 
 import covertool
-from covertool import covers as covers_module
 from covertool import monomials
 from covertool.associated import (
     astab_tree,
@@ -808,30 +807,27 @@ class TestAlexanderDual:
             assert alexander_dual(dual) == I
 
     def test_inside_the_limit_nothing_is_minimalized(self):
-        # Inside the limit every square-free dual is read off the
-        # staircase of the {0,1} box on the variables in some
-        # generator: no decomposition and no minimalization (every
-        # `minimalize` goes through `_minimalize_exps`).  J_3 of the
-        # spider on 20 vertices uses 4 of them, so it stays inside the
-        # limit.  Past it, on P19, J_t is decomposed.
+        # Inside the limit every square-free ideal is built from its
+        # supports, and every square-free dual read off the staircase of
+        # the {0,1} box on the variables in some generator: no
+        # decomposition and no minimalization (every `minimalize` goes
+        # through `_minimalize_exps`).  J_3 of the spider on 20 vertices
+        # uses 4 of them, so it stays inside the limit.  Past it, on
+        # P19, J_t is decomposed and still nothing is minimalized.
         graphs = [g for _, g in graph_corpus()]
         cells = [(g, t) for g in graphs for t in range(1, g.max_degree() + 1)]
-        edges = [generalized_edge_ideal(g, t) for g, t in cells]
-        covers = [partial_cover_ideal(g, t) for g, t in cells]
         spies = {}
         with contextlib.ExitStack() as stack:
-            for module, name in [
-                (monomials, "_decompose"),
-                (monomials, "_minimalize_exps"),
-                (monomials, "minimalize"),
-                (covers_module, "minimalize"),
-            ]:
-                spies[module.__name__, name] = stack.enter_context(
-                    mock.patch.object(module, name, wraps=getattr(module, name))
+            for name in ["_decompose", "_minimalize_exps", "minimalize"]:
+                spies[name] = stack.enter_context(
+                    mock.patch.object(monomials, name, wraps=getattr(monomials, name))
                 )
-            for g, t in cells:
-                partial_cover_ideal(g, t)
-            for I in edges + covers:
+            stars = [
+                star_generators(n, t) for n in range(1, 11) for t in range(1, n + 1)
+            ]
+            edges = [generalized_edge_ideal(g, t) for g, t in cells]
+            covers = [partial_cover_ideal(g, t) for g, t in cells]
+            for I in stars + edges + covers:
                 alexander_dual(I)
             for _, h in hypergraph_corpus():
                 hypergraph_cover_ideal(h)
@@ -840,7 +836,24 @@ class TestAlexanderDual:
                 spies, 0
             )
             partial_cover_ideal(path_graph(19), 1)
-            assert spies["covertool.monomials", "_decompose"].call_count == 1
+            assert {key: spy.call_count for key, spy in spies.items()} == {
+                "_decompose": 1,
+                "_minimalize_exps": 0,
+                "minimalize": 0,
+            }
+
+    def test_only_monomials_builds_vectors(self):
+        # Every square-free ideal is built from its supports in
+        # `monomials` (see `_squarefree`), so no other module calls the
+        # two general routes from vectors.
+        calls = []
+        for path in sorted(Path(covertool.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("minimalize", "support_vector"):
+                        calls.append(path.stem)
+        assert set(calls) <= {"monomials"}
 
 
 # Randomized law checks.  Everything is small (4 variables, up to 7
@@ -1716,6 +1729,11 @@ def squarefree_with_unused(draw):
 def test_duality_involution_on_squarefree(I):
     assert alexander_dual(I) == reference_dual(I)
     assert alexander_dual(alexander_dual(I)) == I
+    # With the gate shut the dual goes through the decomposition, on
+    # the variables in some generator only, and is spread back over
+    # the ambient.
+    with mock.patch.object(monomials, "_box", lambda radix: None):
+        assert alexander_dual(I) == reference_dual(I)
 
 
 # ---------------------------------------------------------------------------
