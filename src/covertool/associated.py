@@ -235,9 +235,6 @@ def empirical_astab(I: MonomialIdeal, s_max: int) -> StabilityReport:
     The tail is empirical: a constant tail can in principle resume
     changing past s_max, so the value is never certified here.
     """
-    _check_positive("s_max", s_max)
-    if I.is_zero or I.is_unit:
-        raise ValueError("stability analysis needs a proper nonzero ideal")
     per_power = tuple(associated_primes_of_powers(I, s_max))
     astab = None
     tail = s_max

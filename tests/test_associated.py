@@ -38,6 +38,8 @@ from covertool.monomials import (
     monomial_from_str,
     power_primes,
 )
+from decompositions import reference_decomposition
+from minimalizers import reference_power
 
 
 def prime_of(g, *labels):
@@ -279,6 +281,22 @@ class TestStability:
         report = empirical_astab(I, 3)
         assert report.persistence_ok and report.first_violation is None
 
+    def test_persistence_failure(self):
+        # <a, b, c> is associated to I but to no higher power: from I^2 on
+        # no minimal generator is divisible by c.
+        ambient = ("a", "b", "c")
+        gens = ["a^4", "a^3*b", "a*b^3", "b^4", "a^2*b^2*c"]
+        I = minimalize(ambient, [monomial_from_str(m, ambient) for m in gens])
+        report = empirical_astab(I, 4)
+        assert not report.persistence_ok
+        assert report.first_violation == 1
+        assert report.astab_value == 2
+        ab, abc = MonomialPrime(frozenset({0, 1})), MonomialPrime(frozenset({0, 1, 2}))
+        assert report.per_power == ({ab, abc}, {ab}, {ab}, {ab})
+        for s, primes in enumerate(report.per_power, start=1):
+            components = reference_decomposition(reference_power(I, s))
+            assert {p.support for p in primes} == {c.support for c in components}
+
     def test_persistence_on_tree_sample(self):
         g = spider(1, 1, 2)
         report = empirical_astab(partial_cover_ideal(g, 2), 3)
@@ -398,6 +416,10 @@ class TestAnnihilatorDivisibility:
         with pytest.raises(ValueError, match="is not the maximal ideal; not a witness"):
             verify_annihilator_divisibility(3, 2, 2, outside)
 
+    def test_wrong_number_of_variables_rejected(self):
+        with pytest.raises(ValueError, match="wrong number of variables"):
+            verify_annihilator_divisibility(3, 2, 2, (0, 1, 1))
+
     def test_oracle_found_witnesses_satisfy_bound(self):
         from covertool.monomials import ideal_power, witness_search
 
@@ -415,6 +437,7 @@ class TestLocalization:
         report = ass_of_power(g, 2, 1)
         assert localization_check(report, g, ("x1", "x2", "x3"))
         assert localization_check(report, g, ("x1", "x2"))
+        assert localization_check(report, g, ())
         star = star_graph(3)
         report = ass_of_power(star, 2, 2)
         assert localization_check(report, star, ("z", "x1", "x2", "x3"))

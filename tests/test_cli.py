@@ -148,6 +148,11 @@ class TestAss:
         assert code == 1
         assert "graph file" in err
 
+    def test_hypergraph_predict_rejected(self, graph_file, capsys):
+        code, out, err = run(capsys, "ass", "--s", "1", "--predict", graph_file(H1))
+        assert (code, out) == (1, "")
+        assert "closed form proven only for trees" in err
+
     def test_hypergraph_rejects_t3(self, graph_file, capsys):
         code, out, err = run(capsys, "ass", "--t", "3", "--s", "2", graph_file(H1))
         assert code == 1
@@ -340,6 +345,11 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", graph_file(H1))
         assert code == 1
         assert "graph file" in err
+
+    def test_edgeless_graph_rejected(self, graph_file, capsys):
+        code, out, err = run(capsys, "sweep", graph_file("vertices: a b\n"))
+        assert (code, out) == (1, "")
+        assert "no edges" in err
 
     def test_nonpositive_smax_rejected(self, graph_file, capsys):
         code, out, err = run(capsys, "sweep", "--smax", "0", graph_file(P4))

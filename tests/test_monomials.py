@@ -688,8 +688,10 @@ class TestDecomposition:
                 assert _orbits_agree(power, expected), (key, s)
 
     def test_rejects_unit_and_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unit ideal"):
             irreducible_decomposition(unit_ideal(X4))
+        with pytest.raises(ValueError, match="zero ideal"):
+            irreducible_decomposition(zero_ideal(X4))
         with pytest.raises(ValueError):
             associated_primes(zero_ideal(X4))
 

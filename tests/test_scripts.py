@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from covertool.associated import oracle_sweep
-from covertool.graphs import path_graph, star_graph
+from covertool.graphs import path_graph
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
@@ -25,86 +24,104 @@ def load_script(name):
     return module
 
 
-def test_star_table_runs():
+def test_survey_runs():
     src = str(SCRIPTS.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "star_table.py"), "--max-n", "4"],
+        [sys.executable, str(SCRIPTS / "survey.py"), "--max-n", "8"],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    rows = result.stdout.splitlines()[1:]
-    assert len(rows) == 6  # (n, t) with 2 <= t <= n <= 4
-    for row in rows:
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "62 rows, 0 mismatches"
+    rows = [line.split() for line in lines[1:-1]]
+    assert len(rows) == 62
+    stars = [row for row in rows if row[0].startswith("K1_")]
+    # The catalogue's K_{1,3}..K_{1,6} and the added K_{1,2} and K_{1,7},
+    # one row per t = 1..r.
+    assert sorted({row[0] for row in stars}) == [f"K1_{r}" for r in range(2, 8)]
+    assert len(stars) == sum(range(2, 8))
+    for name, t, astab, tail, first, *_ in stars:
         # On stars the certified index, the observed tail start and the
-        # first power carrying the maximal ideal all coincide.
-        _, _, astab, tail, first = row.split()[:5]
-        assert astab == tail == first, row
+        # first power carrying the maximal ideal all coincide, but at
+        # t = 1 the maximal ideal never shows.
+        if t == "1":
+            assert (astab, tail, first) == ("1", "1", "None"), name
+        else:
+            assert astab == tail == first, name
 
 
-def test_star_table_mismatch_exits_3(monkeypatch, capsys):
-    star_table = load_script("star_table")
-    predict = star_table.predict_ass_star
-
-    def wrong(n, t, s):
-        # Drop the maximal ideal wherever the closed form has it.
-        report = predict(n, t, s)
-        return replace(report, primes=frozenset(p for p in report.primes
-                                                if len(p.support) <= n))
-
-    monkeypatch.setattr(star_table, "predict_ass_star", wrong)
-    monkeypatch.setattr(sys, "argv", ["star_table.py", "--max-n", "3"])
+def survey_mismatches(monkeypatch, capsys, max_n, **patches):
+    survey = load_script("survey")
+    for name, value in patches.items():
+        monkeypatch.setattr(survey, name, value(getattr(survey, name)))
+    monkeypatch.setattr(sys, "argv", ["survey.py", "--max-n", str(max_n)])
     with pytest.raises(SystemExit) as info:
-        star_table.main()
+        survey.main()
     assert info.value.code == 3
     out = capsys.readouterr().out.splitlines()
-    # Exactly the cells whose Ass holds the maximal ideal.
-    cells = [(2, 2, 1), (2, 2, 2), (3, 2, 2), (3, 2, 3), (3, 3, 1), (3, 3, 2)]
-    assert [line for line in out if line.startswith("MISMATCH")] == [
-        f"MISMATCH n={n} t={t} s={s}: Ass differs from predict_ass_star"
-        for n, t, s in cells
+    mismatches = [line for line in out if line.startswith("MISMATCH")]
+    assert out[-1].endswith(f" rows, {len(mismatches)} mismatches")
+    return mismatches
+
+
+P4_EDGES = "P4 [x1-x2 x2-x3 x3-x4]"
+
+
+def test_survey_tree_form_mismatch_exits_3(monkeypatch, capsys):
+    out = survey_mismatches(
+        monkeypatch, capsys, 4,
+        trees=lambda _: lambda max_n: [("P4", path_graph(4))],
+        predict_ass_tree_powers=lambda predict: (
+            lambda *a: [frozenset() for _ in predict(*a)]
+        ),
+    )
+    assert out == [
+        f"MISMATCH {P4_EDGES} t={t} s=1: Ass differs from predict_ass_tree_powers"
+        for t in (1, 2)
     ]
 
 
-def test_star_table_tail_mismatch_exits_3(monkeypatch, capsys):
-    star_table = load_script("star_table")
-    monkeypatch.setattr(star_table, "astab_tree", lambda g, t: 1)
-    monkeypatch.setattr(star_table, "oracle_sweep", lambda g, t: oracle_sweep(g, t, 3))
-    monkeypatch.setattr(sys, "argv", ["star_table.py", "--max-n", "3"])
-    with pytest.raises(SystemExit) as info:
-        star_table.main()
-    assert info.value.code == 3
-    out = capsys.readouterr().out
-    assert "MISMATCH n=3 t=2 s=3: tail 2 against astab 1" in out
+def test_survey_star_form_mismatch_exits_3(monkeypatch, capsys):
+    def wrong(predict):
+        def drop_maximal(n, t, s):
+            report = predict(n, t, s)
+            return replace(report, primes=frozenset(
+                p for p in report.primes if len(p.support) <= n))
+        return drop_maximal
+
+    out = survey_mismatches(monkeypatch, capsys, 4, predict_ass_star=wrong)
+    # The first power of each star cell whose Ass holds the maximal ideal.
+    cells = [("K1_3 [z-x1 z-x2 z-x3]", 2, 2), ("K1_3 [z-x1 z-x2 z-x3]", 3, 1),
+             ("K1_2 [z-x1 z-x2]", 2, 1)]
+    assert out == [
+        f"MISMATCH {tree} t={t} s={s}: Ass differs from predict_ass_star"
+        for tree, t, s in cells
+    ]
 
 
-def test_tree_survey_matches_on_small_trees():
-    tree_survey = load_script("tree_survey")
-    for name, g in (("P4", path_graph(4)), ("K1_3", star_graph(3))):
-        rows = tree_survey.survey_tree(name, g)
-        assert len(rows) == g.max_degree()
-        assert all(row[4] == "MATCH" for row in rows), rows
-
-
-def test_tree_survey_mismatch_exits_3(monkeypatch, capsys):
-    tree_survey = load_script("tree_survey")
-    predict = tree_survey.predict_ass_tree_powers
-    monkeypatch.setattr(
-        tree_survey,
-        "predict_ass_tree_powers",
-        lambda *a: [frozenset() for _ in predict(*a)],
+def test_survey_tail_mismatch_exits_3(monkeypatch, capsys):
+    out = survey_mismatches(
+        monkeypatch, capsys, 4, astab_tree=lambda _: lambda g, t: 1
     )
-    monkeypatch.setattr(
-        tree_survey, "acceptance_trees", lambda: [("P4", path_graph(4))]
+    assert out == ["MISMATCH K1_3 [z-x1 z-x2 z-x3] t=2 s=3: tail 2 against astab 1"]
+
+
+def test_survey_persistence_mismatch_exits_3(monkeypatch, capsys):
+    out = survey_mismatches(
+        monkeypatch, capsys, 4,
+        trees=lambda _: lambda max_n: [("P4", path_graph(4))],
+        oracle_sweep=lambda sweep: lambda g, t: replace(
+            sweep(g, t), persistence_ok=False, first_violation=1
+        ),
     )
-    monkeypatch.setattr(sys, "argv", ["tree_survey.py"])
-    with pytest.raises(SystemExit) as info:
-        tree_survey.main()
-    assert info.value.code == 3
-    assert capsys.readouterr().out.endswith("2 rows, 2 mismatches\n")
+    assert out == [
+        f"MISMATCH {P4_EDGES} t={t} s=1: Ass^s not within Ass^(s+1)"
+        for t in (1, 2)
+    ]
 
 
 def test_cli_digest_on_a_subset(tmp_path, monkeypatch):
