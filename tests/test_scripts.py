@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from covertool.graphs import path_graph
+from covertool.graphs import path_graph, star_graph
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
@@ -24,21 +24,29 @@ def load_script(name):
     return module
 
 
-def test_survey_runs():
+@pytest.fixture(scope="module")
+def survey_run():
     src = str(SCRIPTS.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / "survey.py"), "--max-n", "8"],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
+
+
+def test_survey_runs(survey_run):
+    assert survey_run.returncode == 0, survey_run.stderr
+    lines = survey_run.stdout.splitlines()
     assert lines[-1] == "62 rows, 0 mismatches"
-    rows = [line.split() for line in lines[1:-1]]
-    assert len(rows) == 62
+    assert len(lines[1:-1]) == 62
+
+
+def test_star_table_runs(survey_run):
+    assert survey_run.returncode == 0, survey_run.stderr
+    rows = [line.split() for line in survey_run.stdout.splitlines()[1:-1]]
     stars = [row for row in rows if row[0].startswith("K1_")]
     # The catalogue's K_{1,3}..K_{1,6} and the added K_{1,2} and K_{1,7},
     # one row per t = 1..r.
@@ -52,6 +60,15 @@ def test_survey_runs():
             assert (astab, tail, first) == ("1", "1", "None"), name
         else:
             assert astab == tail == first, name
+
+
+def test_tree_survey_matches_on_small_trees():
+    survey = load_script("survey")
+    for g in (path_graph(4), star_graph(3)):
+        for t in range(1, g.max_degree() + 1):
+            (astab, tail, first, sizes), failed = survey.survey(g, t)
+            assert failed == [], (g, t)
+            assert len(sizes) == astab + 1 and tail <= astab, (g, t)
 
 
 def survey_mismatches(monkeypatch, capsys, max_n, **patches):
