@@ -28,7 +28,7 @@ from .associated import (
     tail_contradicts_astab,
 )
 from .covers import partial_cover_ideal
-from .graphs import Graph, Hypergraph, ParseError, parse_hypergraph, star_graph
+from .graphs import Graph, Hypergraph, ParseError, parse_graph_or_hypergraph, star_graph
 from .hypercovers import hypergraph_cover_ideal, verify_gap
 from .monomials import (
     MonomialIdeal,
@@ -59,12 +59,9 @@ def _load_input(path: str) -> Graph | Hypergraph:
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc.strerror}") from exc
     try:
-        h = parse_hypergraph(text)
+        return parse_graph_or_hypergraph(text)
     except ParseError as exc:
         raise CommandError(f"{path}: {exc}") from exc
-    if all(len(e) == 2 for e in h.edges):
-        return Graph.build(h.vertices, h.edges)
-    return h
 
 
 def _check_power_cap(value: int, name: str, force: bool):
@@ -153,6 +150,10 @@ def cmd_ass(args) -> int:
     _check_power_cap(args.s, "s", args.force)
     payload: dict = {"t": args.t, "s": args.s}
     lines: list[str] = []
+    # Primes are sorted and labelled once, for the format asked for only.
+    as_json = args.format == "json"
+    render = _primes_json if as_json else _primes_text
+    shown = {}
     exit_code = OK
     if isinstance(obj, Graph):
         at = f" at t={args.t} s={args.s}"
@@ -162,8 +163,8 @@ def cmd_ass(args) -> int:
         ambient = report.ambient
         payload["ambient"] = list(ambient)
         for mode in modes:
-            payload[mode] = _primes_json(reports[mode].primes, ambient)
-            lines.append(f"{mode}: {_primes_text(reports[mode].primes, ambient)}")
+            shown[mode] = render(reports[mode].primes, ambient)
+            lines.append(mode)
         if len(modes) == 2:
             agree = reports["direct"].primes == reports["localized"].primes
             payload["modes_agree"] = agree
@@ -173,9 +174,11 @@ def cmd_ass(args) -> int:
         if args.predict:
             predicted = predict_ass_tree(obj, args.t, args.s)
             match = predicted.primes == report.primes
-            payload["predicted"] = _primes_json(predicted.primes, ambient)
+            shown["predicted"] = (
+                shown[modes[0]] if match else render(predicted.primes, ambient)
+            )
             payload["match"] = match
-            lines.append(f"predicted: {_primes_text(predicted.primes, ambient)}")
+            lines.append("predicted")
             lines.append("MATCH" if match else f"MISMATCH: prediction differs{at}")
             if not match:
                 exit_code = INTEGRITY_ERROR
@@ -190,8 +193,13 @@ def cmd_ass(args) -> int:
         _check_positive("s", args.s)
         primes = power_primes(ideal, args.s)
         payload["ambient"] = list(obj.vertices)
-        payload["direct"] = _primes_json(primes, obj.vertices)
-        lines.append(f"direct: {_primes_text(primes, obj.vertices)}")
+        shown["direct"] = render(primes, obj.vertices)
+        lines.append("direct")
+    if as_json:
+        payload.update(shown)
+    else:
+        # A line that names a key of `shown` becomes that key and its primes.
+        lines = [f"{k}: {shown[k]}" if k in shown else k for k in lines]
     _emit(args, payload, lines)
     return exit_code
 
@@ -212,16 +220,21 @@ def cmd_stability(args) -> int:
         "t": args.t,
         "s_max": args.smax,
         "ambient": list(ambient),
-        "per_power": [
-            {"s": s + 1, "primes": _primes_json(primes, ambient)}
-            for s, primes in enumerate(report.per_power)
-        ],
         "persistence_ok": report.persistence_ok,
         "first_violation": report.first_violation,
     }
     lines = []
-    for s, primes in enumerate(report.per_power, start=1):
-        lines.append(f"s={s}: {_primes_text(primes, ambient)}")
+    # Primes are sorted and labelled for the format asked for only.
+    if args.format == "json":
+        payload["per_power"] = [
+            {"s": s, "primes": _primes_json(primes, ambient)}
+            for s, primes in enumerate(report.per_power, start=1)
+        ]
+    else:
+        lines = [
+            f"s={s}: {_primes_text(primes, ambient)}"
+            for s, primes in enumerate(report.per_power, start=1)
+        ]
     if report.persistence_ok:
         lines.append("persistence: OK")
     else:
@@ -445,36 +458,72 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or the parser of `command`
-    alone, the one the full parser hands that subcommand's arguments."""
-    if command is None:
-        parser = argparse.ArgumentParser(
-            prog="covertool",
-            description="Partial t-cover ideals: construction, associated primes, "
-            "stability, witnesses, and the hypergraph chromatic gap.",
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
-        parsers = {n: sub.add_parser(n, help=h) for n, (h, *_) in _SUBCOMMANDS.items()}
-    else:
-        parser = argparse.ArgumentParser(prog=f"covertool {command}")
-        parsers = {command: parser}
-    for name, p in parsers.items():
-        _, handler, arguments = _SUBCOMMANDS[name]
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand: the one authority for help text,
+    usage errors and exit code 2."""
+    parser = argparse.ArgumentParser(
+        prog="covertool",
+        description="Partial t-cover ideals: construction, associated primes, "
+        "stability, witnesses, and the hypergraph chromatic gap.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         for flag, options in (*arguments, *_COMMON):
             p.add_argument(flag, **options)
         p.set_defaults(handler=handler, command=name)
     return parser
 
 
+def _parse_plain(argv) -> argparse.Namespace | None:
+    """The namespace the full parser returns for a well-formed command
+    line, read straight off `_SUBCOMMANDS`; None for anything else: help,
+    `--`, `--x=y`, abbreviations, values that start with `-` or fail
+    their type or choices, missing options, too few or too many files."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, handler, arguments = _SUBCOMMANDS[argv[0]]
+    options = dict(a for a in (*arguments, *_COMMON) if a[0].startswith("-"))
+    names = [name for name, _ in arguments if not name.startswith("-")]
+    # The only action in the table is store_true, whose default is False.
+    values = {f[2:]: o.get("default", False if "action" in o else None)
+              for f, o in options.items()}
+    required = {f for f, o in options.items() if o.get("required")}
+    files = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            files.append(token)
+            continue
+        if token not in options:
+            return None
+        spec = options[token]
+        required.discard(token)
+        if "action" in spec:
+            values[token[2:]] = True
+            continue
+        value = next(tokens, "-")
+        # Choices are matched before the type converts; an option with both
+        # would be declined, never misread, and the table has none.
+        if value.startswith("-") or value not in spec.get("choices", (value,)):
+            return None
+        try:
+            values[token[2:]] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+    if required or len(files) != len(names):
+        return None
+    values.update(zip(names, files))
+    return argparse.Namespace(handler=handler, command=argv[0], **values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The root parser has no options, so a subcommand name first takes the
-    # rest of argv; the full parser reports anything else or left over.
-    args = extra = None
-    if argv and argv[0] in _SUBCOMMANDS:
-        args, extra = _build_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extra:
+    # A well-formed command line is read off the table with no parser
+    # built; the full parser takes the rest, and prints every help text
+    # and usage error.
+    args = _parse_plain(argv)
+    if args is None:
         args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

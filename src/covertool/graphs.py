@@ -326,25 +326,33 @@ def _parse_lines(text: str):
     return vertices, edges
 
 
+def _build(cls, vertices, edges):
+    try:
+        return cls.build(vertices, [labels for _, labels in edges])
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format; every edge must have exactly two labels."""
     vertices, edges = _parse_lines(text)
     for lineno, labels in edges:
         if len(labels) != 2:
             raise ParseError("a graph edge needs exactly two labels", lineno)
-    try:
-        return Graph.build(vertices, [labels for _, labels in edges])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(Graph, vertices, edges)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the hypergraph text format; edges may have two or more labels."""
+    return _build(Hypergraph, *_parse_lines(text))
+
+
+def parse_graph_or_hypergraph(text: str) -> Graph | Hypergraph:
+    """Parse the text format once: a Graph when every edge has two labels,
+    a Hypergraph otherwise."""
     vertices, edges = _parse_lines(text)
-    try:
-        return Hypergraph.build(vertices, [labels for _, labels in edges])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    pairs = all(len(labels) == 2 for _, labels in edges)
+    return _build(Graph if pairs else Hypergraph, vertices, edges)
 
 
 def _render(vertices: tuple[str, ...], edges) -> str:

@@ -7,10 +7,12 @@ exercised without spawning subprocesses.
 
 import argparse
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -18,6 +20,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertool import cli, hypercovers, monomials
 from covertool.cli import main
@@ -473,6 +477,13 @@ class TestErrorsAndFormats:
         assert payload["generators"] == ["x2", "x3", "x1*x4"]
         assert payload["unit_ideal"] is False
 
+    @pytest.mark.parametrize("edge", ["a b", "a b c"], ids=["graph", "hypergraph"])
+    def test_duplicate_vertex_label(self, graph_file, capsys, edge):
+        path = graph_file(f"vertices: a b c a\nedge: {edge}\n")
+        code, out, err = run(capsys, "ideal", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: duplicate vertex label 'a'\n"
+
     def test_non_simple_error_ignores_hash_seed(self, graph_file):
         # Edge order inside a frozenset follows the string hash seed; the
         # error must name the same pair of edges in every process.
@@ -531,10 +542,61 @@ def _subcommands(parser):
     return action.choices
 
 
+_OPTIONS = {
+    name: [a for a in (*arguments, *cli._COMMON) if a[0].startswith("-")]
+    for name, (_, _, arguments) in cli._SUBCOMMANDS.items()
+}
+_FILES = {
+    name: sum(1 for flag, _ in arguments if not flag.startswith("-"))
+    for name, (_, _, arguments) in cli._SUBCOMMANDS.items()
+}
+# Values int() accepts as they are, none of which starts with `-`.
+_INTS = ("0", "1", "2", "3", "7", "12", "+2", " 3", "007", "1_0")
+_ODD_TOKENS = (
+    *sorted({flag for options in _OPTIONS.values() for flag, _ in options}),
+    "-h", "--help", "--", "-", "-1", "-5", "-1_0", "-5 ",
+    "--t=2", "--s=1", "--format=json",
+    "--pred", "--sm", "--for", "--fo", "--mo", "--d", "--bogus",
+    "text", "json", "xml", "direct", "localized", "both", "x", "1.5", "",
+    "p4.graph", "extra", "sweep", "a=b",
+)
+
+
+def _command_line(rng):
+    """(argv, well_formed): a command line built from one subcommand's
+    own options with valid values, every required option and as many
+    files as it takes, then, half the time, broken by odd tokens put
+    anywhere or in place of any token but the first."""
+    name = rng.choice(list(cli._SUBCOMMANDS))
+    chunks = [["p4.graph"] for _ in range(_FILES[name])]
+    for flag, spec in _OPTIONS[name]:
+        for _ in range(rng.randint(1 if spec.get("required") else 0, 2)):
+            if "action" in spec:
+                chunks.append([flag])
+            else:
+                chunks.append([flag, rng.choice(spec.get("choices", _INTS))])
+    rng.shuffle(chunks)
+    argv = [name, *(token for chunk in chunks for token in chunk)]
+    odd = rng.choice((0, 0, 0, 1, 2, 3))
+    for _ in range(odd):
+        token = rng.choice(_ODD_TOKENS)
+        if rng.random() < 0.5 and len(argv) > 1:
+            argv[rng.randrange(1, len(argv))] = token
+        else:
+            argv.insert(rng.randint(0, len(argv)), token)
+    return argv, odd == 0
+
+
+@functools.cache
+def _full_parser():
+    return cli._build_parser()
+
+
 class TestLazyParser:
-    """`main` builds only the parser of the subcommand argv[0] names; its
-    output must equal the full parser's on help, on every usage error
-    and at the edges of argparse (abbreviations, `--`, `=`, repeats)."""
+    """`main` reads a well-formed command line off the subcommand table
+    and builds the full parser only for anything else; its output must
+    equal the full parser's on help, on every usage error and at the
+    edges of argparse (abbreviations, `--`, `=`, repeats)."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -576,36 +638,28 @@ class TestLazyParser:
         assert lazy[0] == code
         assert _outcome(argv.split(), capsys, _full_parser_main) == lazy
 
-    def test_only_the_named_subcommand_is_built(self, monkeypatch, capsys):
+    def test_only_a_declined_command_builds_a_parser(self, monkeypatch, capsys):
         names = list(cli._SUBCOMMANDS)
         assert names == ["ideal", "ass", "stability", "witness", "gap", "sweep"]
-        full = _subcommands(cli._build_parser())
-        assert list(full) == names
-        for name in names:
-            alone = cli._build_parser(name)
-            assert alone.prog == f"covertool {name}"
-            assert alone.format_help() == full[name].format_help()
+        assert list(_subcommands(cli._build_parser())) == names
         built = []
         build = cli._build_parser
 
-        def spy(command=None):
-            built.append(command)
-            return build(command)
+        def spy():
+            built.append(True)
+            return build()
 
         monkeypatch.setattr(cli, "_build_parser", spy)
         assert main(["witness", "--n", "3", "--t", "2", "--s", "2"]) == 0
-        assert built == ["witness"]
-        for argv, parsers in (
-            (["ideal", "p4.graph", "extra"], ["ideal", None]),
-            (["swee"], [None]),
-        ):
+        assert built == []
+        for argv in (["ideal", "p4.graph", "extra"], ["swee"], ["gap", "-h"]):
             built.clear()
             with pytest.raises(SystemExit):
                 main(argv)
-            assert built == parsers
+            assert built == [True]
         capsys.readouterr()
 
-    def test_one_parser_per_command_and_none_kept(self, monkeypatch, capsys):
+    def test_parsers_built_per_command_and_none_kept(self, monkeypatch, capsys):
         made = []
         init = argparse.ArgumentParser.__init__
 
@@ -615,15 +669,31 @@ class TestLazyParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
         assert main(["witness", "--n", "3", "--t", "2", "--s", "2"]) == 0
-        assert len(made) == 1 and made[0]() is None
-        made.clear()
+        assert made == []
         with pytest.raises(SystemExit):
             main(["ideal", "p4.graph", "extra"])
-        # The subcommand's parser, then the full parser and its six.
-        assert len(made) == 8
+        # The full parser and its six subparsers.
+        assert len(made) == 7
         gc.collect()
         assert all(ref() is None for ref in made)
         capsys.readouterr()
+
+    # Ten command lines from each seed, 5,000 in all.
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_plain_reading_is_the_full_parsers(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            argv, well_formed = _command_line(rng)
+            plain = cli._parse_plain(argv)
+            if plain is None:
+                assert not well_formed, argv
+                continue
+            try:
+                full = _full_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"the full parser rejects {argv}")
+            assert vars(plain) == vars(full), argv
 
 
 def _drop_first_prime(report):
