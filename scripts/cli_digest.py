@@ -1,9 +1,7 @@
 """Fingerprint the CLI's output on a fixed list of commands.
 
-Every command runs through `covertool.cli.main` in this one process,
-with the engine caches cleared before each, so no command reads a power
-or a decomposition an earlier one left behind.  The list covers every
-subcommand, in text and in JSON:
+Every command runs through `covertool.cli.main` in this one process.
+The list covers every subcommand, in text and in JSON:
 
 - every `graph_corpus()` graph, for t from 1 to its maximum degree + 1:
   `ideal --dual`, `ass --predict` and `ass --mode both` at s = 1, 2,
@@ -39,7 +37,7 @@ import os
 import tempfile
 from collections import Counter
 
-from covertool import cli, monomials
+from covertool import cli
 from covertool.catalog import graph_corpus, hypergraph_corpus
 from covertool.graphs import graph_to_text, hypergraph_to_text
 
@@ -135,9 +133,7 @@ def command_list():
 
 
 def run_command(argv):
-    """(exit code, stdout, stderr) of one CLI invocation on cold caches."""
-    monomials.ideal_power.cache_clear()
-    monomials.irreducible_decomposition.cache_clear()
+    """(exit code, stdout, stderr) of one CLI invocation."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -67,16 +67,13 @@ from .monomials import (
     associated_primes_of_powers,
     colon,
     contains,
-    ideal_intersection,
     ideal_power,
-    ideal_product,
     irreducible_decomposition,
     minimalize,
     monomial_from_str,
     monomial_str,
     prime_str,
     sorted_primes,
-    support_vector,
     witness_search,
 )
 

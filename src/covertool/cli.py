@@ -378,27 +378,27 @@ def cmd_sweep(args) -> int:
         per_power = oracle_sweep(obj, t, smax).per_power
         chain = predict_ass_tree_powers(obj, t, smax) if is_tree else [None] * smax
         for s, (oracle, predicted) in enumerate(zip(per_power, chain), start=1):
-            cell = {
-                "t": t,
-                "s": s,
-                "oracle": _primes_json(oracle, obj.vertices),
-            }
+            match = predicted == oracle
             line = f"t={t} s={s} |Ass|={len(oracle)}"
             if is_tree:
-                cell["match"] = predicted == oracle
-                cell["predicted"] = cell["oracle"]
-                verdict = "MATCH" if cell["match"] else "MISMATCH"
+                verdict = "MATCH" if match else "MISMATCH"
                 line += f" predicted={len(predicted)} {verdict}"
-                if not cell["match"]:
+                if not match:
                     mismatch = True
-                    cell["predicted"] = _primes_json(predicted, obj.vertices)
                     only = [
                         _primes_text(a - b, obj.vertices) or "none"
                         for a, b in ((oracle, predicted), (predicted, oracle))
                     ]
                     line += f" oracle-only: {only[0]}; predicted-only: {only[1]}"
-            cells.append(cell)
             lines.append(line)
+            if args.format == "json":
+                cell = {"t": t, "s": s, "oracle": _primes_json(oracle, obj.vertices)}
+                if is_tree:
+                    cell["match"] = match
+                    cell["predicted"] = (
+                        cell["oracle"] if match else _primes_json(predicted, obj.vertices)
+                    )
+                cells.append(cell)
     payload = {
         "ambient": list(obj.vertices),
         "tree": is_tree,

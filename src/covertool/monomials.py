@@ -19,12 +19,6 @@ from functools import lru_cache
 from .staircase import Box, Shifts, corners, transversals
 
 
-def support_vector(indices, nvars: int) -> tuple[int, ...]:
-    """The square-free exponent vector with a 1 exactly at `indices`."""
-    members = set(indices)
-    return tuple(int(i in members) for i in range(nvars))
-
-
 @dataclass(frozen=True)
 class MonomialPrime:
     """A prime generated by variables, identified with its index support."""
@@ -348,17 +342,6 @@ def unit_ideal(ambient) -> MonomialIdeal:
     return MonomialIdeal(ambient, ((0,) * len(ambient),))
 
 
-def _check_same_ambient(I: MonomialIdeal, J: MonomialIdeal):
-    if I.ambient != J.ambient:
-        raise ValueError(f"ambient mismatch: {I.ambient} vs {J.ambient}")
-
-
-def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    _check_same_ambient(I, J)
-    prods = {tuple(map(operator.add, g, h)) for g in I.gens for h in J.gens}
-    return MonomialIdeal(I.ambient, _minimalize_exps(prods))
-
-
 # The engine holds the powers of an ideal I as pairs (classes, reps):
 # the classes of I, which fix all its powers (see `_classes`), and the
 # power's canonical generators, one per orbit.  I itself is the pair
@@ -431,12 +414,6 @@ def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
     return MonomialIdeal(I.ambient, tuple(orbits))
 
 
-def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    _check_same_ambient(I, J)
-    lcms = {tuple(map(max, g, h)) for g in I.gens for h in J.gens}
-    return MonomialIdeal(I.ambient, _minimalize_exps(lcms))
-
-
 def colon(I: MonomialIdeal, t: tuple[int, ...]) -> MonomialIdeal:
     """The quotient I : <t>, computed generator by generator."""
     _check_exponents(t, I.nvars)
@@ -448,12 +425,6 @@ def contains(I: MonomialIdeal, m: tuple[int, ...]) -> bool:
     """Whether m lies in I: some generator of I divides it."""
     _check_exponents(m, I.nvars)
     return any(all(map(operator.le, g, m)) for g in I.gens)
-
-
-def ideal_contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
-    """Whether J is a subset of I (every generator of J lies in I)."""
-    _check_same_ambient(I, J)
-    return all(contains(I, g) for g in J.gens)
 
 
 def _arrangements_under(values, bounds):

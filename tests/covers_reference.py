@@ -3,18 +3,17 @@
 The library reads J_t(G) off the Alexander dual of the closed t-star
 products, as the minimal transversals of the stars on a staircase.
 This builds it from the definition instead, intersecting the primes
-<x, S> one at a time, so it never touches the staircase or the
-decomposition engine that the dual goes through.
+<x, S> one at a time with the pairwise references of
+`tests/minimalizers.py`, so it never touches the staircase, the
+decomposition engine that the dual goes through or the packed
+minimalizer.
 """
 
 import itertools
 
-from covertool.monomials import (
-    ideal_intersection,
-    minimalize,
-    support_vector,
-    unit_ideal,
-)
+from minimalizers import reference_intersection, reference_minimalize, support_vector
+
+from covertool.monomials import unit_ideal
 
 
 def reference_cover_ideal(g, t):
@@ -23,9 +22,9 @@ def reference_cover_ideal(g, t):
     result = unit_ideal(g.vertices)
     for x in g.vertices:
         for subset in itertools.combinations(g.neighbors(x), t):
-            prime = minimalize(
+            prime = reference_minimalize(
                 g.vertices,
                 [support_vector([g.index(v)], g.n) for v in (x, *subset)],
             )
-            result = ideal_intersection(result, prime)
+            result = reference_intersection(result, prime)
     return result

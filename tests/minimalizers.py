@@ -15,6 +15,12 @@ def _divides(a, b):
     return all(map(le, a, b))
 
 
+def support_vector(indices, nvars: int) -> tuple[int, ...]:
+    """The square-free exponent vector with a 1 exactly at `indices`."""
+    members = set(indices)
+    return tuple(int(i in members) for i in range(nvars))
+
+
 def reference_minimalize(ambient, vectors) -> MonomialIdeal:
     """The ideal generated by exponent vectors, in the library's order
     (by degree, then the earliest variable with the larger exponent)."""
@@ -56,6 +62,11 @@ def reference_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
             for h in J.gens
         ],
     )
+
+
+def reference_contains_ideal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
+    """Whether J is a subset of I: some generator of I divides each of J's."""
+    return all(any(_divides(g, h) for g in I.gens) for h in J.gens)
 
 
 def reference_colon(I: MonomialIdeal, t) -> MonomialIdeal:

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from minimalizers import support_vector
 from transversals import edge_ideal, reference_dual
 
 from covertool import monomials
@@ -25,12 +26,7 @@ from covertool.hypercovers import (
     is_proper_coloring,
     verify_gap,
 )
-from covertool.monomials import (
-    alexander_dual,
-    ideal_str,
-    minimalize,
-    support_vector,
-)
+from covertool.monomials import alexander_dual, ideal_str, minimalize
 
 
 class TestCoverIdeal:

@@ -10,13 +10,9 @@ checks.
 
 import itertools
 
-from covertool.monomials import (
-    MonomialIdeal,
-    minimalize,
-    support_vector,
-    unit_ideal,
-    zero_ideal,
-)
+from minimalizers import reference_minimalize, support_vector
+
+from covertool.monomials import MonomialIdeal, unit_ideal, zero_ideal
 
 
 def reference_dual(I: MonomialIdeal) -> MonomialIdeal:
@@ -37,12 +33,12 @@ def reference_dual(I: MonomialIdeal) -> MonomialIdeal:
             if all(s & supp for supp in supports):
                 kept.append(s)
     n = I.nvars
-    return minimalize(I.ambient, [support_vector(s, n) for s in kept])
+    return reference_minimalize(I.ambient, [support_vector(s, n) for s in kept])
 
 
 def edge_ideal(h) -> MonomialIdeal:
     """The square-free ideal generated by the edges of a (hyper)graph."""
-    return minimalize(
+    return reference_minimalize(
         h.vertices,
         [support_vector([h.index(v) for v in e], h.n) for e in h.edges],
     )
