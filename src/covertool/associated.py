@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .covers import _check_star, partial_cover_ideal, star_generators
 from .graphs import Graph, enumerate_induced_stars, star_graph
@@ -24,10 +23,10 @@ from .monomials import (
     power_contains,
     power_primes,
 )
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class AssReport:
+class AssReport(Record):
     """Associated primes of one power of one ideal.
 
     method records how the set was obtained: "oracle" (decomposition of
@@ -35,15 +34,20 @@ class AssReport:
     subgraphs) or "closed_form" (a formula, no ideal arithmetic).
     """
 
-    ambient: tuple[str, ...]
-    t: int
-    s: int
-    method: str
-    primes: frozenset[MonomialPrime]
+    __slots__ = ("ambient", "t", "s", "method", "primes")
+
+    def __init__(
+        self, ambient: tuple[str, ...], t: int, s: int, method: str,
+        primes: frozenset[MonomialPrime],
+    ):
+        _set(self, "ambient", ambient)
+        _set(self, "t", t)
+        _set(self, "s", s)
+        _set(self, "method", method)
+        _set(self, "primes", primes)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Per-power associated primes with the stabilization and persistence
     verdicts read off them.
 
@@ -54,15 +58,22 @@ class StabilityReport:
     is the least s with Ass^s not contained in Ass^{s+1}, or None.
     """
 
-    s_max: int
-    per_power: tuple[frozenset[MonomialPrime], ...]
-    astab_value: int | None
-    persistence_ok: bool
-    first_violation: int | None
+    __slots__ = (
+        "s_max", "per_power", "astab_value", "persistence_ok", "first_violation",
+    )
+
+    def __init__(
+        self, s_max: int, per_power: tuple[frozenset[MonomialPrime], ...],
+        astab_value: int | None, persistence_ok: bool, first_violation: int | None,
+    ):
+        _set(self, "s_max", s_max)
+        _set(self, "per_power", per_power)
+        _set(self, "astab_value", astab_value)
+        _set(self, "persistence_ok", persistence_ok)
+        _set(self, "first_violation", first_violation)
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(Record):
     """An explicit monomial T with J^s : T = P, checked by the oracle.
 
     e is the exponent of the leading z factor, s0 the least power at
@@ -74,17 +85,27 @@ class WitnessCertificate:
     checks.
     """
 
-    T: tuple[int, ...]
-    s: int
-    P: MonomialPrime
-    not_in_power: bool
-    colon_equals_prime: bool
-    annihilator_divides: bool
-    n: int
-    t: int
-    s0: int
-    e: int
-    empty_word: bool
+    __slots__ = (
+        "T", "s", "P", "not_in_power", "colon_equals_prime", "annihilator_divides", "n",
+        "t", "s0", "e", "empty_word",
+    )
+
+    def __init__(
+        self, T: tuple[int, ...], s: int, P: MonomialPrime, not_in_power: bool,
+        colon_equals_prime: bool, annihilator_divides: bool, n: int, t: int, s0: int,
+        e: int, empty_word: bool,
+    ):
+        _set(self, "T", T)
+        _set(self, "s", s)
+        _set(self, "P", P)
+        _set(self, "not_in_power", not_in_power)
+        _set(self, "colon_equals_prime", colon_equals_prime)
+        _set(self, "annihilator_divides", annihilator_divides)
+        _set(self, "n", n)
+        _set(self, "t", t)
+        _set(self, "s0", s0)
+        _set(self, "e", e)
+        _set(self, "empty_word", empty_word)
 
     @property
     def valid(self) -> bool:

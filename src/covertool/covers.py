@@ -14,7 +14,6 @@ enumeration live here so they can be checked against each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graphs import Graph, find_special_vertex, star_graph
 from .monomials import (
@@ -24,6 +23,7 @@ from .monomials import (
     _squarefree_dual,
     monomial_str,
 )
+from .record import Record, _set
 
 
 def _check_star(n: int, t: int):
@@ -112,8 +112,7 @@ def generalized_edge_ideal(g: Graph, t: int) -> MonomialIdeal:
     return ideal
 
 
-@dataclass(frozen=True)
-class GeneratorClassification:
+class GeneratorClassification(Record):
     """One minimal generator of J_t of a tree, classified in the frame of
     the special vertex x with neighbours y_1..y_d (leaves first, the one
     possible non-leaf neighbour last).
@@ -123,17 +122,27 @@ class GeneratorClassification:
     frame_divisors records which frame variables divide the generator.
     """
 
-    generator: tuple[int, ...]
-    kind: str
-    frame_divisors: tuple[str, ...]
+    __slots__ = ("generator", "kind", "frame_divisors")
+
+    def __init__(
+        self, generator: tuple[int, ...], kind: str, frame_divisors: tuple[str, ...],
+    ):
+        _set(self, "generator", generator)
+        _set(self, "kind", kind)
+        _set(self, "frame_divisors", frame_divisors)
 
 
-@dataclass(frozen=True)
-class TreeGeneratorReport:
-    special_vertex: str
-    frame: tuple[str, ...]  # (x, y_1, ..., y_d)
-    t: int
-    entries: tuple[GeneratorClassification, ...]
+class TreeGeneratorReport(Record):
+    __slots__ = ("special_vertex", "frame", "t", "entries")  # frame: (x, y_1, ..., y_d)
+
+    def __init__(
+        self, special_vertex: str, frame: tuple[str, ...], t: int,
+        entries: tuple[GeneratorClassification, ...],
+    ):
+        _set(self, "special_vertex", special_vertex)
+        _set(self, "frame", frame)
+        _set(self, "t", t)
+        _set(self, "entries", entries)
 
 
 def classify_tree_generators(g: Graph, t: int) -> TreeGeneratorReport:

@@ -8,7 +8,8 @@ outputs deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+
+from .record import Record, _set
 
 
 class ParseError(ValueError):
@@ -21,25 +22,21 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """A finite simple graph: ordered vertex labels plus undirected edges."""
 
-    vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
-    # Each vertex's neighbours in vertex order, built once from the edges.
-    _adjacency: dict[str, tuple[str, ...]] = field(
-        init=False, compare=False, repr=False
-    )
+    # _adjacency: each vertex's neighbours in vertex order, built once
+    # from the edges; not part of the graph's value.
+    __slots__ = ("vertices", "edges", "_adjacency")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...], edges: frozenset[frozenset[str]]):
         seen = set()
-        for v in self.vertices:
+        for v in vertices:
             if v in seen:
                 raise ValueError(f"duplicate vertex label {v!r}")
             seen.add(v)
-        adjacency = {v: set() for v in self.vertices}
-        for e in self.edges:
+        adjacency = {v: set() for v in vertices}
+        for e in edges:
             if len(e) != 2:
                 raise ValueError(f"edge {sorted(e)} must join two distinct vertices")
             for v in e:
@@ -48,10 +45,20 @@ class Graph:
             u, v = e
             adjacency[u].add(v)
             adjacency[v].add(u)
-        object.__setattr__(self, "_adjacency", {
-            v: tuple(u for u in self.vertices if u in nbrs)
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "_adjacency", {
+            v: tuple(u for u in vertices if u in nbrs)
             for v, nbrs in adjacency.items()
         })
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     @classmethod
     def build(cls, vertices, edges) -> Graph:
@@ -110,33 +117,33 @@ class Graph:
         return self.is_connected() and len(self.edges) == len(self.vertices) - 1
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Record):
     """A simple hypergraph: no edge of size < 2, no edge containing another."""
 
-    vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...], edges: frozenset[frozenset[str]]):
         seen = set()
-        for v in self.vertices:
+        for v in vertices:
             if v in seen:
                 raise ValueError(f"duplicate vertex label {v!r}")
             seen.add(v)
-        for e in self.edges:
+        for e in edges:
             if len(e) < 2:
                 raise ValueError(f"hyperedge {sorted(e)} has fewer than two vertices")
             if not e <= seen:
                 raise ValueError(f"hyperedge {sorted(e)} uses unknown vertices")
         # Walk edges by their vertex indices so the error names the same
         # pair on every run, whatever the string hash seed.
-        order = {v: i for i, v in enumerate(self.vertices)}
-        ranked = sorted(self.edges, key=lambda e: sorted(order[v] for v in e))
+        order = {v: i for i, v in enumerate(vertices)}
+        ranked = sorted(edges, key=lambda e: sorted(order[v] for v in e))
         for e, f in itertools.combinations(ranked, 2):
             if e < f or f < e:
                 raise ValueError(
                     f"not simple: edge {sorted(e)} is comparable with {sorted(f)}"
                 )
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
     @classmethod
     def build(cls, vertices, edges) -> Hypergraph:
@@ -153,26 +160,32 @@ class Hypergraph:
             raise ValueError(f"unknown vertex label {v!r}") from None
 
 
-@dataclass(frozen=True)
-class StarShape:
+class StarShape(Record):
     """The labelled star K_{1,r}: one center adjacent to r >= 1 leaves."""
 
-    center: str
-    leaves: frozenset[str]
+    __slots__ = ("center", "leaves")
+
+    def __init__(self, center: str, leaves: frozenset[str]):
+        _set(self, "center", center)
+        _set(self, "leaves", leaves)
 
     @property
     def r(self) -> int:
         return len(self.leaves)
 
 
-@dataclass(frozen=True)
-class SpecialVertex:
+class SpecialVertex(Record):
     """A vertex of a tree all of whose neighbours, except possibly one,
     are leaves.  `branch_neighbor` is the possibly-non-leaf neighbour."""
 
-    vertex: str
-    leaf_neighbors: tuple[str, ...]
-    branch_neighbor: str | None
+    __slots__ = ("vertex", "leaf_neighbors", "branch_neighbor")
+
+    def __init__(
+        self, vertex: str, leaf_neighbors: tuple[str, ...], branch_neighbor: str | None,
+    ):
+        _set(self, "vertex", vertex)
+        _set(self, "leaf_neighbors", leaf_neighbors)
+        _set(self, "branch_neighbor", branch_neighbor)
 
 
 def star_shape(g: Graph) -> StarShape | None:

@@ -10,7 +10,6 @@ verifies both inequalities with the oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .associated import astab_tree, empirical_astab, tail_contradicts_astab
 from .covers import star_generators
@@ -20,6 +19,7 @@ from .monomials import (
     _check_positive,
     _squarefree_dual,
 )
+from .record import Record, _set
 
 Coloring = dict[str, int]
 
@@ -73,8 +73,7 @@ def build_gap_family(m: int) -> Hypergraph:
     return Hypergraph.build(vertices, edges)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """Everything the chromatic-gap verification measured for one m.
 
     astab is the certified value from the tree formula (the cover ideal
@@ -83,16 +82,26 @@ class GapReport:
     short to show a tail of length two.  gap_bound is chi - 1 + m.
     """
 
-    m: int
-    chi: int
-    astab: int
-    oracle_astab: int | None
-    s_max: int
-    gap_bound: int
-    gap_holds: bool
-    gap_is_equality: bool
-    baseline_holds: bool
-    ideal_matches_star: bool
+    __slots__ = (
+        "m", "chi", "astab", "oracle_astab", "s_max", "gap_bound", "gap_holds",
+        "gap_is_equality", "baseline_holds", "ideal_matches_star",
+    )
+
+    def __init__(
+        self, m: int, chi: int, astab: int, oracle_astab: int | None, s_max: int,
+        gap_bound: int, gap_holds: bool, gap_is_equality: bool, baseline_holds: bool,
+        ideal_matches_star: bool,
+    ):
+        _set(self, "m", m)
+        _set(self, "chi", chi)
+        _set(self, "astab", astab)
+        _set(self, "oracle_astab", oracle_astab)
+        _set(self, "s_max", s_max)
+        _set(self, "gap_bound", gap_bound)
+        _set(self, "gap_holds", gap_holds)
+        _set(self, "gap_is_equality", gap_is_equality)
+        _set(self, "baseline_holds", baseline_holds)
+        _set(self, "ideal_matches_star", ideal_matches_star)
 
     @property
     def all_checks_pass(self) -> bool:

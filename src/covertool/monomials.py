@@ -13,21 +13,29 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .record import Record, _set
 from .staircase import Box, Shifts, corners, transversals
 
 
-@dataclass(frozen=True)
-class MonomialPrime:
+class MonomialPrime(Record):
     """A prime generated by variables, identified with its index support."""
 
-    support: frozenset[int]
+    __slots__ = ("support",)
 
-    def __post_init__(self):
-        if not self.support:
+    def __init__(self, support: frozenset[int]):
+        if not support:
             raise ValueError("a monomial prime needs a nonempty support")
+        _set(self, "support", support)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.support == other.support
+
+    def __hash__(self):
+        return hash((self.support,))
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -40,15 +48,15 @@ class MonomialPrime:
         return _squarefree(ambient, [(ambient[i],) for i in self.indices])
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
+class IrreducibleComponent(Record):
     """An irreducible monomial ideal <x_i^{e_i} : i in support>."""
 
-    bounds: tuple[tuple[int, int], ...]  # (variable index, exponent >= 1), sorted
+    __slots__ = ("bounds",)  # (variable index, exponent >= 1), sorted
 
-    def __post_init__(self):
-        if any(e < 1 for _, e in self.bounds):
+    def __init__(self, bounds: tuple[tuple[int, int], ...]):
+        if any(e < 1 for _, e in bounds):
             raise ValueError("irreducible component bounds must be >= 1")
+        _set(self, "bounds", bounds)
 
     @property
     def support(self) -> frozenset[int]:
@@ -62,8 +70,7 @@ class IrreducibleComponent:
         )
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal held as its unique minimal generating set.
 
     Each generator is a tuple of exponents, one per variable of the
@@ -75,8 +82,19 @@ class MonomialIdeal:
     `_powers`).
     """
 
-    ambient: tuple[str, ...]
-    gens: tuple[tuple[int, ...], ...]
+    __slots__ = ("ambient", "gens")
+
+    def __init__(self, ambient: tuple[str, ...], gens: tuple[tuple[int, ...], ...]):
+        _set(self, "ambient", ambient)
+        _set(self, "gens", gens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient == other.ambient and self.gens == other.gens
+
+    def __hash__(self):
+        return hash((self.ambient, self.gens))
 
     @property
     def nvars(self) -> int:

@@ -6,7 +6,6 @@ exercised without spawning subprocesses.
 """
 
 import argparse
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 from covertool import cli, hypercovers, monomials
 from covertool.cli import main
 from covertool.monomials import MonomialPrime, sorted_primes
+from covertool.record import replace
 
 P4 = "vertices: x1 x2 x3 x4\nedge: x1 x2\nedge: x2 x3\nedge: x3 x4\n"
 STAR3 = "vertices: z x1 x2 x3\nedge: z x1\nedge: z x2\nedge: z x3\n"
@@ -698,7 +698,7 @@ class TestLazyParser:
 
 def _drop_first_prime(report):
     kept = sorted_primes(report.primes)[1:]
-    return dataclasses.replace(report, primes=frozenset(kept))
+    return replace(report, primes=frozenset(kept))
 
 
 class TestIntegrityFailures:
@@ -773,7 +773,7 @@ class TestIntegrityFailures:
 
         def broken(ideal, s_max):
             report = check(ideal, s_max)
-            return dataclasses.replace(
+            return replace(
                 report, persistence_ok=False, first_violation=1
             )
 
@@ -798,7 +798,7 @@ class TestIntegrityFailures:
             report = check(ideal, s_max)
             *head, last = report.per_power
             gained = last | {MonomialPrime(frozenset({1}))}
-            return dataclasses.replace(
+            return replace(
                 report, per_power=(*head, gained), astab_value=None
             )
 
@@ -824,7 +824,7 @@ class TestIntegrityFailures:
         monkeypatch.setattr(
             cli,
             "build_star_witness",
-            lambda *a: dataclasses.replace(build(*a), annihilator_divides=False),
+            lambda *a: replace(build(*a), annihilator_divides=False),
         )
         code, out, _ = run(capsys, "witness", "--n", "3", "--t", "2", "--s", "2")
         assert code == 3
@@ -835,7 +835,7 @@ class TestIntegrityFailures:
         monkeypatch.setattr(
             cli,
             "build_star_witness",
-            lambda *a: dataclasses.replace(build(*a), colon_equals_prime=False),
+            lambda *a: replace(build(*a), colon_equals_prime=False),
         )
         code, out, _ = run(capsys, "witness", "--n", "3", "--t", "2", "--s", "2")
         assert code == 3
@@ -850,7 +850,7 @@ class TestIntegrityFailures:
 
         def broken(m, s_max=None):
             report = verify(m, s_max=s_max)
-            return dataclasses.replace(
+            return replace(
                 report,
                 oracle_astab=report.astab + 1,
                 gap_holds=False,
@@ -876,7 +876,7 @@ class TestIntegrityFailures:
         verify = cli.verify_gap
 
         def broken(m, s_max=None):
-            return dataclasses.replace(verify(m, s_max=s_max), oracle_astab=None)
+            return replace(verify(m, s_max=s_max), oracle_astab=None)
 
         monkeypatch.setattr(cli, "verify_gap", broken)
         code, out, _ = run(capsys, "gap", "--m", "2")

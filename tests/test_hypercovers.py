@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from minimalizers import support_vector
@@ -27,6 +26,7 @@ from covertool.hypercovers import (
     verify_gap,
 )
 from covertool.monomials import alexander_dual, ideal_str, minimalize
+from covertool.record import replace
 
 
 class TestCoverIdeal:

@@ -6,12 +6,12 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from covertool.graphs import path_graph, star_graph
+from covertool.record import replace
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
