@@ -13,8 +13,9 @@ exactly the failures this tool exists to surface.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import partial
+from json.encoder import encode_basestring_ascii as _encode
 
 from .associated import (
     ass_of_power,
@@ -79,17 +80,65 @@ def _check_variable_cap(count: int, force: bool):
         )
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _json(payload) -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True)` for what payloads
+    hold: dicts with str keys, lists, tuples, str, int, bool and None;
+    anything else raises TypeError.  json indents in pure Python; this
+    writes each container once per (object, depth) and reuses it."""
+    memo = {}
+
+    def write(obj, depth):
+        if isinstance(obj, str):
+            return _encode(obj)
+        if obj is None or obj is True or obj is False:
+            return _JSON_WORDS[obj]
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        key = (id(obj), depth)
+        if key in memo:
+            return memo[key]
+        if isinstance(obj, dict):  # `_encode` rejects a key that is not a str
+            items = [_encode(k) + ": " + write(obj[k], depth + 1) for k in sorted(obj)]
+        elif isinstance(obj, (list, tuple)):
+            try:  # a list of labels is encoded without a call per item
+                items = list(map(_encode, obj))
+            except TypeError:
+                items = [write(item, depth + 1) for item in obj]
+        else:
+            raise TypeError(f"{type(obj).__name__} is not a payload type")
+        text = "{}" if isinstance(obj, dict) else "[]"
+        if items:
+            outer = "\n" + "  " * depth
+            inner = outer + "  "
+            text = text[0] + inner + ("," + inner).join(items) + outer + text[1]
+        memo[key] = text
+        return text
+
+    return write(payload, 0)
+
+
 def _emit(args, payload: dict, lines: list[str]):
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         for line in lines:
             print(line)
 
 
-def _primes_json(primes, ambient) -> list[list[str]]:
-    return [list(p.labels(ambient)) for p in sorted_primes(primes)]
+def _primes_json(primes, ambient, labels: dict) -> list[list[str]]:
+    """The primes in report order as label lists.  `labels`, one per
+    command, maps each prime and each prime set to its list, so cells that
+    repeat a prime or a set (by persistence, most) share what `_json` writes."""
+    if primes not in labels:
+        labels[primes] = [
+            labels[p] if p in labels else labels.setdefault(p, list(p.labels(ambient)))
+            for p in sorted_primes(primes)
+        ]
+    return labels[primes]
 
 
 def _primes_text(primes, ambient) -> str:
@@ -152,7 +201,7 @@ def cmd_ass(args) -> int:
     lines: list[str] = []
     # Primes are sorted and labelled once, for the format asked for only.
     as_json = args.format == "json"
-    render = _primes_json if as_json else _primes_text
+    render = partial(_primes_json, labels={}) if as_json else _primes_text
     shown = {}
     exit_code = OK
     if isinstance(obj, Graph):
@@ -226,8 +275,9 @@ def cmd_stability(args) -> int:
     lines = []
     # Primes are sorted and labelled for the format asked for only.
     if args.format == "json":
+        labels = {}
         payload["per_power"] = [
-            {"s": s, "primes": _primes_json(primes, ambient)}
+            {"s": s, "primes": _primes_json(primes, ambient, labels)}
             for s, primes in enumerate(report.per_power, start=1)
         ]
     else:
@@ -373,6 +423,7 @@ def cmd_sweep(args) -> int:
         _check_power_cap(smaxes[t], "smax", args.force)
     cells = []
     lines = []
+    labels = {}
     mismatch = False
     for t, smax in smaxes.items():
         per_power = oracle_sweep(obj, t, smax).per_power
@@ -392,11 +443,13 @@ def cmd_sweep(args) -> int:
                     line += f" oracle-only: {only[0]}; predicted-only: {only[1]}"
             lines.append(line)
             if args.format == "json":
-                cell = {"t": t, "s": s, "oracle": _primes_json(oracle, obj.vertices)}
+                oracle_json = _primes_json(oracle, obj.vertices, labels)
+                cell = {"t": t, "s": s, "oracle": oracle_json}
                 if is_tree:
                     cell["match"] = match
                     cell["predicted"] = (
-                        cell["oracle"] if match else _primes_json(predicted, obj.vertices)
+                        oracle_json if match
+                        else _primes_json(predicted, obj.vertices, labels)
                     )
                 cells.append(cell)
     payload = {

@@ -516,6 +516,118 @@ class TestErrorsAndFormats:
         assert payload["annihilator_divides"]
 
 
+def _stdlib_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+# Quotes, backslashes, control characters, JSON punctuation and
+# non-ASCII, mixed with anything else `st.text` draws.
+_JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f[]{},: aü名\U0001f600'))
+_JSON_TEXT |= st.text(max_size=6)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(max_value=-(2**64))
+    | _JSON_TEXT
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+ODD_LABELS = ['a"b', "c\\d", "[e]", "f,g", "ü", "名"]
+
+
+class TestJsonWriter:
+    """`cli._json` writes the bytes of `json.dumps(indent=2, sort_keys=True)`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_PAYLOADS)
+    def test_matches_stdlib(self, payload):
+        assert cli._json(payload) == _stdlib_json(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_JSON_PAYLOADS, max_size=3)
+        | st.dictionaries(_JSON_TEXT, _JSON_PAYLOADS, max_size=3)
+    )
+    def test_shared_container_at_several_depths(self, shared):
+        # One object twice at one depth and once at three others: each
+        # depth must be written with its own indentation.
+        payload = {"a": shared, "b": [shared, shared], "c": [[shared], {"d": shared}]}
+        assert cli._json(payload) == _stdlib_json(payload)
+
+    def test_true_is_not_one(self):
+        payload = [True, 1, False, 0, None, [True], [1], {"x": 1, "y": True}]
+        assert cli._json(payload) == _stdlib_json(payload)
+        assert cli._json([1, True]) == "[\n  1,\n  true\n]"
+
+    def test_empty_containers(self):
+        payload = {"": [], "a": {}, "b": (), "c": [[], {}, ()]}
+        assert cli._json(payload) == _stdlib_json(payload)
+        assert cli._json([]) == "[]" and cli._json({}) == "{}"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [1.5, {"a": 0.0}, {1, 2}, [frozenset()], b"x", {"a": [b"x"]}, {1: "a"},
+         {"a": {None: 1}}, ["a", 2.0], object()],
+        ids=["float", "nested-float", "set", "frozenset", "bytes", "nested-bytes",
+             "int-key", "none-key", "str-then-float", "object"],
+    )
+    def test_other_types_raise(self, payload):
+        # json.dumps would write the float, and the keys 1 and None as
+        # strings; a payload never holds these, so the writer refuses them.
+        with pytest.raises(TypeError):
+            cli._json(payload)
+
+    def test_memo_is_per_call(self):
+        shared = ["x"]
+        first = cli._json({"a": shared})
+        shared.append("y")
+        assert cli._json({"a": shared}) == _stdlib_json({"a": shared}) != first
+
+    def test_labels_are_shared_within_a_command(self):
+        p, q, r = (MonomialPrime(frozenset(s)) for s in ({0}, {0, 1}, {2}))
+        ambient = ("a", "b", "c")
+        labels = {}
+        first = cli._primes_json(frozenset({p, q}), ambient, labels)
+        again = cli._primes_json(frozenset([q, p]), ambient, labels)
+        other = cli._primes_json(frozenset({q, r}), ambient, labels)
+        assert first == [["a"], ["a", "b"]]
+        assert again is first
+        assert other == [["c"], ["a", "b"]]
+        assert other[1] is first[1]
+        fresh = cli._primes_json(frozenset({p, q}), ambient, {})
+        assert fresh == first and fresh is not first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep"],
+            ["ideal", "--t", "2", "--dual"],
+            ["ass", "--t", "2", "--s", "2", "--predict"],
+            ["stability", "--t", "2", "--smax", "3"],
+        ],
+        ids=["sweep", "ideal", "ass", "stability"],
+    )
+    def test_odd_labels_print_stdlib_bytes(self, graph_file, capsys, argv):
+        text = "vertices: " + " ".join(ODD_LABELS) + "\n"
+        text += "".join(f"edge: {ODD_LABELS[a]} {ODD_LABELS[b]}\n"
+                        for a, b in ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)))
+        with mock.patch.object(json, "dumps", side_effect=AssertionError("json.dumps")):
+            code, out, _ = run(capsys, *argv, "--format", "json", graph_file(text))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ambient"] == ODD_LABELS
+        assert out == _stdlib_json(payload) + "\n"
+
+
 def _outcome(argv, capsys, run_main=main):
     try:
         code = run_main(argv)
