@@ -23,7 +23,7 @@ from .monomials import (
     power_contains,
     power_primes,
 )
-from .record import Record, _set
+from .record import Record
 
 
 class AssReport(Record):
@@ -35,16 +35,6 @@ class AssReport(Record):
     """
 
     __slots__ = ("ambient", "t", "s", "method", "primes")
-
-    def __init__(
-        self, ambient: tuple[str, ...], t: int, s: int, method: str,
-        primes: frozenset[MonomialPrime],
-    ):
-        _set(self, "ambient", ambient)
-        _set(self, "t", t)
-        _set(self, "s", s)
-        _set(self, "method", method)
-        _set(self, "primes", primes)
 
 
 class StabilityReport(Record):
@@ -61,16 +51,6 @@ class StabilityReport(Record):
     __slots__ = (
         "s_max", "per_power", "astab_value", "persistence_ok", "first_violation",
     )
-
-    def __init__(
-        self, s_max: int, per_power: tuple[frozenset[MonomialPrime], ...],
-        astab_value: int | None, persistence_ok: bool, first_violation: int | None,
-    ):
-        _set(self, "s_max", s_max)
-        _set(self, "per_power", per_power)
-        _set(self, "astab_value", astab_value)
-        _set(self, "persistence_ok", persistence_ok)
-        _set(self, "first_violation", first_violation)
 
 
 class WitnessCertificate(Record):
@@ -89,23 +69,6 @@ class WitnessCertificate(Record):
         "T", "s", "P", "not_in_power", "colon_equals_prime", "annihilator_divides", "n",
         "t", "s0", "e", "empty_word",
     )
-
-    def __init__(
-        self, T: tuple[int, ...], s: int, P: MonomialPrime, not_in_power: bool,
-        colon_equals_prime: bool, annihilator_divides: bool, n: int, t: int, s0: int,
-        e: int, empty_word: bool,
-    ):
-        _set(self, "T", T)
-        _set(self, "s", s)
-        _set(self, "P", P)
-        _set(self, "not_in_power", not_in_power)
-        _set(self, "colon_equals_prime", colon_equals_prime)
-        _set(self, "annihilator_divides", annihilator_divides)
-        _set(self, "n", n)
-        _set(self, "t", t)
-        _set(self, "s0", s0)
-        _set(self, "e", e)
-        _set(self, "empty_word", empty_word)
 
     @property
     def valid(self) -> bool:

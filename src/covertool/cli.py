@@ -13,6 +13,7 @@ exactly the failures this tool exists to surface.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _encode
@@ -123,10 +124,16 @@ def _json(payload) -> str:
 def _emit(args, payload: dict, lines: list[str]):
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
-        print(_json(payload))
-    else:
+        lines = [_json(payload)]
+    try:
         for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A closed stdout (`| head`): devnull takes what the exit flush writes.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _primes_json(primes, ambient, labels: dict) -> list[list[str]]:

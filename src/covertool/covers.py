@@ -23,7 +23,7 @@ from .monomials import (
     _squarefree_dual,
     monomial_str,
 )
-from .record import Record, _set
+from .record import Record
 
 
 def _check_star(n: int, t: int):
@@ -124,25 +124,9 @@ class GeneratorClassification(Record):
 
     __slots__ = ("generator", "kind", "frame_divisors")
 
-    def __init__(
-        self, generator: tuple[int, ...], kind: str, frame_divisors: tuple[str, ...],
-    ):
-        _set(self, "generator", generator)
-        _set(self, "kind", kind)
-        _set(self, "frame_divisors", frame_divisors)
-
 
 class TreeGeneratorReport(Record):
     __slots__ = ("special_vertex", "frame", "t", "entries")  # frame: (x, y_1, ..., y_d)
-
-    def __init__(
-        self, special_vertex: str, frame: tuple[str, ...], t: int,
-        entries: tuple[GeneratorClassification, ...],
-    ):
-        _set(self, "special_vertex", special_vertex)
-        _set(self, "frame", frame)
-        _set(self, "t", t)
-        _set(self, "entries", entries)
 
 
 def classify_tree_generators(g: Graph, t: int) -> TreeGeneratorReport:

@@ -153,21 +153,11 @@ class Hypergraph(Record):
     def n(self) -> int:
         return len(self.vertices)
 
-    def index(self, v: str) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise ValueError(f"unknown vertex label {v!r}") from None
-
 
 class StarShape(Record):
     """The labelled star K_{1,r}: one center adjacent to r >= 1 leaves."""
 
     __slots__ = ("center", "leaves")
-
-    def __init__(self, center: str, leaves: frozenset[str]):
-        _set(self, "center", center)
-        _set(self, "leaves", leaves)
 
     @property
     def r(self) -> int:
@@ -179,13 +169,6 @@ class SpecialVertex(Record):
     are leaves.  `branch_neighbor` is the possibly-non-leaf neighbour."""
 
     __slots__ = ("vertex", "leaf_neighbors", "branch_neighbor")
-
-    def __init__(
-        self, vertex: str, leaf_neighbors: tuple[str, ...], branch_neighbor: str | None,
-    ):
-        _set(self, "vertex", vertex)
-        _set(self, "leaf_neighbors", leaf_neighbors)
-        _set(self, "branch_neighbor", branch_neighbor)
 
 
 def star_shape(g: Graph) -> StarShape | None:

@@ -19,7 +19,7 @@ from .monomials import (
     _check_positive,
     _squarefree_dual,
 )
-from .record import Record, _set
+from .record import Record
 
 Coloring = dict[str, int]
 
@@ -86,22 +86,6 @@ class GapReport(Record):
         "m", "chi", "astab", "oracle_astab", "s_max", "gap_bound", "gap_holds",
         "gap_is_equality", "baseline_holds", "ideal_matches_star",
     )
-
-    def __init__(
-        self, m: int, chi: int, astab: int, oracle_astab: int | None, s_max: int,
-        gap_bound: int, gap_holds: bool, gap_is_equality: bool, baseline_holds: bool,
-        ideal_matches_star: bool,
-    ):
-        _set(self, "m", m)
-        _set(self, "chi", chi)
-        _set(self, "astab", astab)
-        _set(self, "oracle_astab", oracle_astab)
-        _set(self, "s_max", s_max)
-        _set(self, "gap_bound", gap_bound)
-        _set(self, "gap_holds", gap_holds)
-        _set(self, "gap_is_equality", gap_is_equality)
-        _set(self, "baseline_holds", baseline_holds)
-        _set(self, "ideal_matches_star", ideal_matches_star)
 
     @property
     def all_checks_pass(self) -> bool:

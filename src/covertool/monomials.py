@@ -540,6 +540,15 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
     last member, always runs; so the held vectors and their order are
     those of running every member.
 
+    Every orbit and member that runs is missed by some held vector.  The
+    reps are the canonical generators of a minimal generating set, so r
+    lies outside the ideal of the orbits before it and some held vector
+    misses r (at first the one vector, all `top`, misses everything).  A
+    member that `_missed_members` picks is still missed at its turn: a
+    vector that missed it is kept, or replaced by its tightening at a
+    variable where the earlier member's entry is larger, which also
+    misses it, or by a vector that covers that tightening.
+
     Components are packed (see `_layout`) with their guard bits set, so
     k <= c is (c - k) & H == H.  A component c misses g exactly when
     g + 1 <= c on the support of g, and a tightening at variable i
@@ -631,8 +640,6 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
             compact()
         p = _pack(r, width)
         missed = misses(p)
-        if not missed:
-            continue
         if touched:
             flagged = itertools.compress(vecs, slots.flags(missed, len(vecs)))
             picked = _missed_members(r, list(map(unpack, flagged)), classes)
@@ -647,9 +654,6 @@ def _components(reps, nvars, top, classes) -> list[tuple[int, ...]]:
                     compact()
             if step or q != p:  # else the pool is as r was tested on it
                 missed = misses(q)
-                if not missed:
-                    new = set()
-                    continue
             tighten = [(~field, q & field) for field in fields if q & field]
             new = {
                 c & clear | value

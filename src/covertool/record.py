@@ -1,17 +1,20 @@
 """Immutable records: the base of covertool's value classes.
 
-A record class lists its fields, in constructor order, as `__slots__`
-and sets each one once, in its own `__init__`, with `_set`.  A slot
-whose name starts with an underscore is a private cache and stays out
-of equality, hash and repr.  Otherwise a record behaves as a frozen
-dataclass: it equals only a record of its own class with equal fields,
-hashes as the tuple of its fields, prints as `Name(field=value, ...)`
-and refuses assignment and deletion.  `MonomialPrime`, `MonomialIdeal`
-and `Graph`, compared and hashed in the engine's loops, define `__eq__`
-and `__hash__` themselves on the same terms: the generic ones here cost
-about twice as much per call.  The dataclass decorator would
-cost every command's start-up: each decoration compiles six methods
-with `exec`, and importing `dataclasses` loads `inspect`.
+A record class lists its fields, in constructor order, as `__slots__`.
+A slot whose name starts with an underscore is a private cache and
+stays out of the constructor, equality, hash and repr.  Otherwise a
+record behaves as a frozen dataclass: it is built by position or by
+name, equals only a record of its own class with equal fields, hashes
+as the tuple of its fields, prints as `Name(field=value, ...)` and
+refuses assignment and deletion.  Only a record that checks or derives
+a field, or that the engine compares and hashes in its loops, sets its
+slots in its own `__init__` with `_set`: `MonomialPrime`,
+`IrreducibleComponent`, `MonomialIdeal`, `Graph` and `Hypergraph`.  Of
+these, `MonomialPrime`, `MonomialIdeal` and `Graph` define `__eq__` and
+`__hash__` too: the generic ones cost about twice as much per call.
+The dataclass decorator would cost every command's start-up: each
+decoration compiles six methods with `exec`, and importing
+`dataclasses` loads `inspect`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ import operator
 _set = object.__setattr__
 
 
+def _tuple_getter(getter, names):
+    get = getter(*names)
+    # attrgetter and itemgetter of one name return the value, not a 1-tuple.
+    return staticmethod(get if len(names) > 1 else lambda x: (get(x),))
+
+
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -29,9 +38,35 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
-        get = operator.attrgetter(*cls._fields)
-        # attrgetter of one name returns the value, not a 1-tuple.
-        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+        cls._values = _tuple_getter(operator.attrgetter, cls._fields)
+        cls._pick = _tuple_getter(operator.itemgetter, cls._fields)
+        # The slot descriptors' own setters, past __setattr__.
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __init__(self, *values, **named):
+        if named or len(values) != len(self._fields):
+            values = self._bind(values, named)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, values, named):
+        """The field values, in field order, of a call by name or with a
+        wrong count; a bad call raises TypeError, as a function call would."""
+        fields = cls._fields
+        if not values and len(named) == len(fields):
+            try:
+                return cls._pick(named)
+            except KeyError:
+                pass
+        bound = dict(zip(fields, values))
+        errors = [f"unknown field {f!r}" for f in named if f not in fields]
+        errors += [f"two values for field {f!r}" for f in named if f in bound]
+        errors += [f"missing field {f!r}" for f in fields if f not in {**bound, **named}]
+        errors += [f"no field for value {v!r}" for v in values[len(fields):]]
+        if errors:
+            raise TypeError(f"{cls.__qualname__}(): {', '.join(errors)}")
+        return cls._pick({**bound, **named})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1,8 +1,9 @@
 """End-to-end checks of the command-line interface.
 
-Every test drives main() in-process and asserts on exit codes plus
+Most tests drive main() in-process and assert on exit codes plus
 captured output, so the full argument-parsing and rendering path is
-exercised without spawning subprocesses.
+exercised without spawning subprocesses; the few that need a process of
+their own (a hash seed, a closed stdout) run `python -m covertool.cli`.
 """
 
 import argparse
@@ -396,6 +397,25 @@ class TestSweep:
             assert code == 0, argv
             assert step.call_count == 6, argv
             assert monomials.ideal_power.cache_info().currsize == 0, argv
+
+    def test_closed_stdout_exits_cleanly(self, graph_file):
+        # The JSON sweep of K_{1,6} (93,145 bytes) outgrows a 64 KiB pipe,
+        # so a reader that stops after one line, as `| head -1` does,
+        # closes the pipe while the command is still writing.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "covertool.cli", "sweep", "--format", "json",
+             graph_file(STAR6)],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_past_limit_commands_never_call_ideal_power(graph_file, capsys):

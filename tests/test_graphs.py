@@ -77,6 +77,11 @@ class TestGraphConstruction:
         two_parts = Graph.build(("a", "b", "c", "d"), [("a", "b"), ("c", "d")])
         assert not two_parts.is_connected()
         assert not two_parts.is_tree()
+        empty = Graph.build((), [])
+        with pytest.raises(ValueError, match="connectivity is undefined"):
+            empty.is_connected()
+        with pytest.raises(ValueError, match="empty graph has no maximal degree"):
+            empty.max_degree()
 
 
 class TestConstructors:
@@ -163,6 +168,9 @@ class TestSpecialVertex:
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError):
             find_special_vertex(cycle_graph(4))
+        # One vertex is a tree, but has no neighbour to peel.
+        with pytest.raises(ValueError, match="at least two vertices"):
+            find_special_vertex(Graph.build(("a",), []))
 
 
 def _benchmark_trees():
@@ -234,6 +242,8 @@ class TestHypergraph:
     def test_small_edges_rejected(self):
         with pytest.raises(ValueError):
             Hypergraph.build(("a", "b"), [("a",)])
+        with pytest.raises(ValueError, match=r"hyperedge \['a', 'c'\] uses unknown"):
+            Hypergraph.build(("a", "b"), [("a", "c")])
 
     def test_valid_build(self):
         h = Hypergraph.build(("a", "b", "c", "d"), [("a", "b", "c"), ("b", "c", "d")])
@@ -258,6 +268,8 @@ class TestParsing:
     def test_missing_vertices_line(self):
         with pytest.raises(ParseError, match="missing 'vertices:'"):
             parse_graph("# just a comment\n")
+        with pytest.raises(ParseError, match="line 1: 'vertices:' line lists no labels"):
+            parse_graph("vertices:\n")
 
     def test_edge_before_vertices(self):
         with pytest.raises(ParseError, match="line 1"):

@@ -56,7 +56,7 @@ class TestCoverIdeal:
             I = hypergraph_cover_ideal(h)
             edges = minimalize(
                 h.vertices,
-                [support_vector([h.index(v) for v in e], h.n) for e in h.edges],
+                [support_vector([h.vertices.index(v) for v in e], h.n) for e in h.edges],
             )
             assert alexander_dual(I) == edges, name
 
@@ -88,6 +88,7 @@ class TestColoring:
             assert found is not None and is_proper_coloring(h, found), name
             if k > 1:
                 assert find_coloring(h, k - 1) is None, name
+        assert find_coloring(Hypergraph.build((), []), 1) == {}
 
     def test_bad_color_count(self):
         with pytest.raises(ValueError, match="color"):

@@ -169,6 +169,7 @@ class TestMinimalize:
     def test_drops_multiples_and_sorts(self):
         I = ideal(X4, "x2", "x3", "x1*x4", "x2*x3", "x2^2*x4")
         assert ideal_str(I) == "[x2, x3, x1*x4]"
+        assert str(I) == "[x2, x3, x1*x4]"
 
     def test_canonical_order_is_degree_then_earliest_variable(self):
         I = ideal(ZX3, "x2*x3", "z", "x1*x3", "x1*x2")

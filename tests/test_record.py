@@ -68,6 +68,30 @@ def test_missing_or_unknown_field_is_a_type_error(cls):
         cls(*values, values[0])
 
 
+def test_only_checking_or_engine_records_define_init():
+    # Every other record stores its fields through Record.__init__.
+    own = {cls for cls in Record.__subclasses__() if "__init__" in vars(cls)}
+    assert own == {MonomialPrime, IrreducibleComponent, MonomialIdeal, Graph, Hypergraph}
+
+
+def test_type_errors_name_the_class_and_the_field():
+    values = SAMPLES[StabilityReport]
+    for args, named, message in [
+        (values[:-1], {}, "missing field 'first_violation'"),
+        (values, {"bogus": 1}, "unknown field 'bogus'"),
+        (values[:1], {"s_max": 3}, "two values for field 's_max'"),
+        ((*values, 0), {}, "no field for value 0"),
+    ]:
+        with pytest.raises(TypeError, match=f"^StabilityReport\\(\\): .*{message}"):
+            StabilityReport(*args, **named)
+    # Names in any order, and positions followed by names, bind as a
+    # call would.
+    fields = dict(zip(StabilityReport._fields, values))
+    later = {f: fields[f] for f in ("first_violation", "astab_value", "persistence_ok")}
+    assert StabilityReport(**dict(reversed(fields.items()))) == StabilityReport(*values)
+    assert StabilityReport(*values[:2], **later) == StabilityReport(*values)
+
+
 @CLASSES
 def test_assignment_and_deletion_raise(cls):
     record = _sample(cls)

@@ -40,5 +40,5 @@ def edge_ideal(h) -> MonomialIdeal:
     """The square-free ideal generated by the edges of a (hyper)graph."""
     return reference_minimalize(
         h.vertices,
-        [support_vector([h.index(v) for v in e], h.n) for e in h.edges],
+        [support_vector([h.vertices.index(v) for v in e], h.n) for e in h.edges],
     )
