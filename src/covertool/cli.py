@@ -41,6 +41,7 @@ from .monomials import (
     prime_str,
     sorted_primes,
 )
+from .record import fields
 
 SCHEMA_VERSION = 1
 MAX_POWER = 6
@@ -333,18 +334,9 @@ def cmd_witness(args) -> int:
     ambient = star_graph(args.n).vertices
     passes = cert.valid
     divides = passes and cert.annihilator_divides
-    payload = {
-        "n": args.n,
-        "t": args.t,
-        "s": args.s,
-        "s0": cert.s0,
-        "e": cert.e,
-        "T": monomial_str(cert.T, ambient),
-        "empty_word": cert.empty_word,
-        "not_in_power": cert.not_in_power,
-        "colon_equals_prime": cert.colon_equals_prime,
-        "annihilator_divides": divides,
-    }
+    payload = {**fields(cert), "T": monomial_str(cert.T, ambient)}
+    payload["annihilator_divides"] = divides
+    del payload["P"]
     lines = [
         f"T = {monomial_str(cert.T, ambient)}  (s0={cert.s0}, e={cert.e})"
         + ("  [empty word boundary]" if cert.empty_word else ""),
@@ -367,18 +359,7 @@ def cmd_gap(args) -> int:
     if args.m > GAP_FAMILY_CAP and not args.force:
         raise CommandError(f"cap exceeded: m={args.m} (override with --force)")
     report = verify_gap(args.m, s_max=args.smax)
-    payload = {
-        "m": report.m,
-        "chi": report.chi,
-        "astab": report.astab,
-        "oracle_astab": report.oracle_astab,
-        "s_max": report.s_max,
-        "gap_bound": report.gap_bound,
-        "gap_holds": report.gap_holds,
-        "gap_is_equality": report.gap_is_equality,
-        "baseline_holds": report.baseline_holds,
-        "ideal_matches_star": report.ideal_matches_star,
-    }
+    payload = fields(report)
     tail = report.oracle_astab
     if report.tail_undetermined:
         tail = f"not determined up to s_max={report.s_max}"

@@ -92,8 +92,12 @@ class Record:
         return self.__class__, self._values(self)
 
 
+def fields(record: Record) -> dict:
+    """The fields of record by name, in field order."""
+    return dict(zip(record._fields, record._values(record)))
+
+
 def replace(record: Record, **changes) -> Record:
     """A new record of the same class with the given fields changed; an
     unknown field raises TypeError, as in dataclasses.replace."""
-    fields = dict(zip(record._fields, record._values(record)))
-    return record.__class__(**{**fields, **changes})
+    return record.__class__(**{**fields(record), **changes})

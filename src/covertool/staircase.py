@@ -4,8 +4,10 @@ A monomial ideal is held as the set U of its points in an exponent box,
 one bit per point of one int (`Box`).  `corners` reads the irreducible
 components off U, and `Shifts` takes the points of J to those of I * J,
 so the powers of an ideal are walked without building one.  It works on
-exponent vectors and bits alone; `monomials` decides which ideals come
-here and turns what comes back into components and primes.
+exponent vectors and bits alone; `monomials` picks the box (`_box`) and
+hands it to the box kernel `_staircase`, the power-chain reader
+`_box_powers` or `transversals`, and turns what comes back into
+components and primes.
 """
 
 from __future__ import annotations
@@ -197,6 +199,30 @@ def _corner_offsets(box: Box, U: int, tests) -> list[int]:
             word ^= bit
             found.append(8 * at + bit.bit_length() - 1)
     return found
+
+
+def _staircase(box: Box, reps, classes, top) -> list[tuple[int, ...]]:
+    """The box kernel: the canonical component vectors that
+    `loop._components` returns, read off the staircase of the ideal in
+    its exponent box.  On a canonical x the upward closure of the
+    canonical reps alone is exact, and that is all `corners` reads."""
+    U = box.upward(map(box.offset, reps))
+    return corners(box, U, box.corner_tests(classes), top)
+
+
+def _box_powers(box: Box, gens, classes):
+    """(read, powers) for the ideal I of gens, whose classes fix all its
+    powers: powers yields the points in box of I, I^2, ..., each one
+    `Shifts` step from the one before, and read takes one to what
+    `monomials._decompose` returns.  The box must hold every generator."""
+    shift, tests, top = Shifts(box, gens), box.corner_tests(classes), max(box.radix)
+
+    def powers(U=box.full):
+        while True:
+            U = shift(U)
+            yield U
+
+    return (lambda U: (classes, top, corners(box, U, tests, top))), powers()
 
 
 def transversals(box: Box, masks) -> list[int]:

@@ -442,6 +442,30 @@ def test_past_limit_commands_never_call_ideal_power(graph_file, capsys):
             assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
 
 
+def test_only_past_limit_cells_load_the_loop(graph_file):
+    # `_decompose` imports the incremental loop in its past-limit branch
+    # alone: the CLI's import leaves it out, and Ass of J_2(K_{1,6})^5,
+    # whose box of 6^7 points is past the limit, loads it.
+    star6 = graph_file(STAR6)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys; from covertool import cli; "
+        "before = 'covertool.loop' in sys.modules; "
+        f"code = cli.main(['ass', '--t', '2', '--s', '5', {star6!r}]); "
+        "print(before, code, 'covertool.loop' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1] == "False 0 True"
+
+
 class TestErrorsAndFormats:
     def test_parse_error_carries_line_number(self, graph_file, capsys):
         code, _, err = run(

@@ -33,7 +33,7 @@ from powers_reference import reference_power_contains
 from transversals import edge_ideal, reference_dual
 
 import covertool
-from covertool import monomials
+from covertool import loop, monomials
 from covertool.associated import (
     astab_tree,
     build_star_witness,
@@ -79,7 +79,7 @@ from covertool.monomials import (
     zero_ideal,
 )
 from covertool.monomials import _classes as classes_of_gens
-from covertool.monomials import _components
+from covertool.loop import _components
 from covertool.staircase import Box
 
 X4 = ("x1", "x2", "x3", "x4")
@@ -806,10 +806,10 @@ class TestAlexanderDual:
             assert len(I.gens) >= 64
             assert classes_of_gens(I.gens, I.nvars) == (leaves,)
             with mock.patch.object(
-                monomials, "_components", wraps=monomials._components
-            ) as loop:
+                loop, "_components", wraps=loop._components
+            ) as kernel:
                 dual = alexander_dual(I)
-            assert loop.call_count == 1
+            assert kernel.call_count == 1
             assert dual == reference_dual(I)
             assert alexander_dual(dual) == I
 
@@ -1160,7 +1160,7 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_missed_members_are_the_members_some_vector_misses(case):
     r, cs, classes = case
-    assert monomials._missed_members(r, cs, classes) == _members_missed_by_some(
+    assert loop._missed_members(r, cs, classes) == _members_missed_by_some(
         r, cs, classes
     )
 
@@ -1269,13 +1269,13 @@ class TestOrbitSkip:
             _close([(2, 3, 1, 1, 0), (2, 3, 0, 0, 3), (2, 2, 2, 2, 0)], [(1, 2, 3)]),
         )
         calls = []
-        picked = monomials._missed_members
+        picked = loop._missed_members
 
         def recording(r, cs, classes):
             calls.append((r, cs, classes))
             return picked(r, cs, classes)
 
-        monkeypatch.setattr(monomials, "_missed_members", recording)
+        monkeypatch.setattr(loop, "_missed_members", recording)
         square = ideal_power(I, 2)
         assert _orbits_agree(square, reference_decomposition(square))
         assert any(
@@ -1334,10 +1334,10 @@ class TestStaircaseKernel:
             + [(2, 6, 18, 54)],
         )
         picked = []
-        for name in ("_staircase", "_components"):
-            kernel = getattr(monomials, name)
+        for module, name in ((monomials, "_staircase"), (loop, "_components")):
+            kernel = getattr(module, name)
             monkeypatch.setattr(
-                monomials,
+                module,
                 name,
                 lambda *args, name=name, kernel=kernel: picked.append(name)
                 or kernel(*args),
@@ -1697,6 +1697,33 @@ class TestStaircaseGate:
             ("monomials", "_box", "Load"),
             ("monomials", None, "Store"),
         ]
+
+    def test_only_decompose_calls_a_kernel(self):
+        # `_decompose` is the one dispatcher between the box kernel and
+        # the incremental loop, so a new kernel or a cost estimate is one
+        # module plus one branch there.  Past the gate, `monomials` hands
+        # a box to staircase functions and calls none of its primitives.
+        primitives = {"upward", "offset", "corner_tests", "Shifts", "corners"}
+        calls, outside = [], []
+        for path in sorted(Path(covertool.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {}
+            for node in ast.walk(tree):  # outer functions first
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update(dict.fromkeys(ast.walk(node), node.name))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in ("_staircase", "_components"):
+                        calls.append((path.stem, owner.get(node), name))
+                    if name in primitives and path.stem != "staircase":
+                        outside.append((path.stem, owner.get(node), name))
+        assert sorted(calls) == [
+            ("monomials", "_decompose", "_components"),
+            ("monomials", "_decompose", "_staircase"),
+        ]
+        assert outside == []
 
     def test_pairs_answer_as_the_staircase(self, monkeypatch):
         # With the gate shut, the chain and single powers take the pairs

@@ -17,7 +17,7 @@ from covertool.covers import GeneratorClassification, TreeGeneratorReport
 from covertool.graphs import Graph, Hypergraph, SpecialVertex, StarShape
 from covertool.hypercovers import GapReport
 from covertool.monomials import IrreducibleComponent, MonomialIdeal, MonomialPrime
-from covertool.record import Record, replace
+from covertool.record import Record, fields, replace
 
 P = MonomialPrime(frozenset({0, 2}))
 EDGES = frozenset({frozenset({"a", "b"}), frozenset({"b", "c"})})
@@ -139,6 +139,14 @@ def test_replace(cls):
     assert same == record and same is not record
     with pytest.raises(TypeError):
         replace(record, bogus=1)
+
+
+@CLASSES
+def test_fields_are_the_public_slots_by_name_in_order(cls):
+    record = _sample(cls)
+    public = [f for f in cls.__slots__ if not f.startswith("_")]
+    assert list(fields(record).items()) == list(zip(public, SAMPLES[cls]))
+    assert cls(**fields(record)) == record
 
 
 def test_replace_changes_only_the_named_fields():
