@@ -24,7 +24,9 @@ exactly when their CLI output is byte-identical on the list:
 
     PYTHONPATH=src python scripts/cli_digest.py > after.txt
 
-and the same in the other checkout, then `diff` the two files.
+and the same in the other checkout, then `diff` the two files.  The six
+subcommand lines are pinned in `tests/cli_digest.expected`, which the
+tests compare with this script's output.
 
 Usage: python scripts/cli_digest.py
 """

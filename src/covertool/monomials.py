@@ -530,23 +530,23 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
     return tuple(IrreducibleComponent(c) for c in ordered)
 
 
-def _supports(classes, top, vecs) -> list[tuple[bool, ...]]:
-    """The distinct supports, as flags per variable, of the irredundant
-    irreducible components whose canonical vectors `_decompose` returns
-    as vecs.
+def _mask_orbits(classes, masks) -> list[int]:
+    """Every mask that moves the bits of one of masks within classes,
+    each orbit once when masks holds one mask per orbit."""
+    for cls in classes:
+        whole = sum(1 << i for i in cls)
+        masks = [
+            m & ~whole | sum(1 << i for i in placed)
+            for m in masks
+            for placed in itertools.combinations(cls, (m & whole).bit_count())
+        ]
+    return masks
 
-    Only the supports of the canonical components are expanded.  Within
-    a class a canonical vector lists its absent variables, marked `top`,
-    first, so supports in one orbit are equal there and each orbit of
-    supports is expanded once.
-    """
-    return _orbits(list({tuple(map(top.__ne__, v)) for v in vecs}), classes)
 
-
-def _primes(classes, top, vecs) -> frozenset[MonomialPrime]:
+def _primes(classes, masks) -> frozenset[MonomialPrime]:
     return frozenset(
-        MonomialPrime(frozenset(itertools.compress(range(len(s)), s)))
-        for s in _supports(classes, top, vecs)
+        MonomialPrime(frozenset(i for i in range(m.bit_length()) if m >> i & 1))
+        for m in _mask_orbits(classes, masks)
     )
 
 
@@ -557,26 +557,31 @@ def _check_proper(I: MonomialIdeal):
 
 def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
     """Ass(I): the supports of the irredundant irreducible components,
-    read as `power_primes` reads I^1."""
+    read off their masks as `power_primes` reads I^1."""
     return power_primes(I, 1)
 
 
 def _walk(I: MonomialIdeal, s_max: int):
     """(read, powers): powers yields one value for each of I, I^2, ...,
-    and read takes one to the classes, `top` and canonical component
-    vectors of that power, as `_decompose` returns them.  While the box
-    of I^s_max, radix s_max * m_i + 1 with m_i the largest exponent of
-    x_i in I, passes `_box`, no power is built: the values are the
-    points of each power in that one box, read on the classes of I
-    (`staircase._box_powers`).  For I alone or a larger box they are the
-    pairs of the powers (see `_powers`), each decomposed.  I alone skips
-    the box: on the 165 J_t of `_decompose`, Ass(I) read from the box of
-    I took 22.7-23.5 ms, against 9.6-10.0 ms decomposed.
+    and read takes one to the classes and the distinct support masks of
+    that power's canonical components, which `_primes` expands.  While
+    the box of I^s_max, radix s_max * m_i + 1 with m_i the largest
+    exponent of x_i in I, passes `_box`, no power is built: the values
+    are the points of each power in that one box, read on the classes of
+    I (`staircase._box_powers`).  For I alone or a larger box they are
+    the pairs of the powers (see `_powers`), each decomposed.  I alone
+    skips the box: on the 165 J_t of `_decompose`, Ass(I) read from the
+    box of I took 22.7-23.5 ms, against 9.6-10.0 ms decomposed.
     """
     box = _box([1 + s_max * x for x in map(max, zip(*I.gens))]) if s_max > 1 else None
-    if box is None:
-        return (lambda pair: _decompose(I.nvars, *pair)), _powers(I)
-    return _box_powers(box, I.gens, _classes(I.gens, I.nvars))
+    if box is not None:
+        return _box_powers(box, I.gens, _classes(I.gens, I.nvars))
+
+    def read(pair):
+        classes, top, vecs = _decompose(I.nvars, *pair)
+        return classes, {sum(1 << i for i, x in enumerate(v) if x != top) for v in vecs}
+
+    return read, _powers(I)
 
 
 def associated_primes_of_powers(
@@ -592,7 +597,7 @@ def associated_primes_of_powers(
 
 def power_primes(I: MonomialIdeal, s: int) -> frozenset[MonomialPrime]:
     """Ass(I^s): the walk to I^s (see `_walk`), of which only the last
-    power is read."""
+    power's support masks are read."""
     _check_power(s)
     _check_proper(I if s else unit_ideal(I.ambient))  # I^0 is the unit ideal
     read, powers = _walk(I, s)
@@ -714,16 +719,17 @@ def _squarefree_dual(ambient, supports) -> MonomialIdeal:
     J_t and the hypergraph cover ideals included.  Only the k variables
     in some support count (see `_masks`).  In a box that `_box` admits,
     {0,1}^k, the dual's masks are the minimal transversals read off its
-    staircase (`staircase.transversals`); past it, the supports of the
-    components `_decompose` finds on those variables.
+    staircase (`staircase.transversals`); past it, the associated primes
+    of the ideal on those variables.
     """
     bit, masks = _masks(ambient, supports)
     if not bit:  # the zero ideal, or the unit ideal with its one empty support
         return zero_ideal(ambient) if supports else unit_ideal(ambient)
     box = _box([2] * len(bit))
     if box is None:
-        found = _decompose(len(bit), None, _ideal(tuple(bit), bit, set(masks)).gens)
-        duals = [sum(itertools.compress(bit.values(), s)) for s in _supports(*found)]
+        keys = list(bit.values())
+        primes = associated_primes(_ideal(tuple(bit), bit, set(masks)))
+        duals = [sum(keys[i] for i in p.support) for p in primes]
     else:
         duals = transversals(box, masks)
     return _ideal(ambient, bit, duals)

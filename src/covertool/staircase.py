@@ -2,12 +2,11 @@
 
 A monomial ideal is held as the set U of its points in an exponent box,
 one bit per point of one int (`Box`).  `corners` reads the irreducible
-components off U, and `Shifts` takes the points of J to those of I * J,
-so the powers of an ideal are walked without building one.  It works on
-exponent vectors and bits alone; `monomials` picks the box (`_box`) and
-hands it to the box kernel `_staircase`, the power-chain reader
-`_box_powers` or `transversals`, and turns what comes back into
-components and primes.
+components off U, `supports` their support masks, and `Shifts` takes the
+points of J to those of I * J, so powers are walked without building
+one.  It works on exponent vectors and bits alone; `monomials` picks the
+box (`_box`), hands it to `_staircase`, `_box_powers` or `transversals`,
+and turns what comes back into components and primes.
 """
 
 from __future__ import annotations
@@ -210,19 +209,33 @@ def _staircase(box: Box, reps, classes, top) -> list[tuple[int, ...]]:
     return corners(box, U, box.corner_tests(classes), top)
 
 
+def supports(box: Box, tests):
+    """The reader that takes U to the distinct support masks, bit i where
+    x_i < radix_i - 1, of the canonical corners `corners` reads off it:
+    lo[x % at] | hi[x // at] at offset x, from the masks of the axes
+    below a cut near the square root of the box size and from it."""
+    k = sum(stride * stride < box.size for stride in box.stride)
+    at, tables = (box.stride + [box.size])[k], [[0], [0]]
+    for i, r in enumerate(box.radix):
+        table = tables[i >= k]  # a copy per x_i, bit i in all but the last
+        tables[i >= k] = [m | 1 << i for m in table] * (r - 1) + table
+    lo, hi = tables
+    return lambda U: {lo[x % at] | hi[x // at] for x in _corner_offsets(box, U, tests)}
+
+
 def _box_powers(box: Box, gens, classes):
     """(read, powers) for the ideal I of gens, whose classes fix all its
     powers: powers yields the points in box of I, I^2, ..., each one
-    `Shifts` step from the one before, and read takes one to what
-    `monomials._decompose` returns.  The box must hold every generator."""
-    shift, tests, top = Shifts(box, gens), box.corner_tests(classes), max(box.radix)
+    `Shifts` step from the one before, and read takes one to its classes
+    and `supports`.  The box must hold every generator."""
+    shift, masks = Shifts(box, gens), supports(box, box.corner_tests(classes))
 
     def powers(U=box.full):
         while True:
             U = shift(U)
             yield U
 
-    return (lambda U: (classes, top, corners(box, U, tests, top))), powers()
+    return (lambda U: (classes, masks(U))), powers()
 
 
 def transversals(box: Box, masks) -> list[int]:
@@ -233,8 +246,8 @@ def transversals(box: Box, masks) -> list[int]:
     square-free ideal the sets generate are the upward closure of the
     masks.  Its components are the primes on the minimal transversals,
     and that of a corner x is on the variables with x_i = 0 (see
-    `corners`): the transversal is the complement of x.  Corners form
-    an antichain.
+    `corners`): the transversal is the complement of x, one XOR where
+    `supports` would first build its tables.  Corners form an antichain.
     """
     everything = box.size - 1
     tests = box.corner_tests(())

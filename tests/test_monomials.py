@@ -1589,6 +1589,99 @@ class TestSinglePower:
             assert got[0], I
 
 
+def _vector_supports(I, s):
+    """Ass(I^s) by the vector reader: the supports of the canonical
+    component vectors of the pair of I^s, expanded by `_orbits`."""
+    classes, top, vecs = monomials._decompose(I.nvars, *monomials._power(I, s))
+    return {
+        frozenset(i for i, x in enumerate(v) if x != top)
+        for v in monomials._orbits(vecs, classes)
+    }
+
+
+def _partly_in(classes, masks):
+    """Whether some mask holds some but not all of the bits of a class."""
+    wholes = [sum(1 << i for i in cls) for cls in classes]
+    return any(0 < (m & w).bit_count() < w.bit_count() for m in masks for w in wholes)
+
+
+def _masks_agree(I, s_max, reference=0):
+    """The mask reader on the walk of I to s_max (`_walk`), and what
+    `associated_primes_of_powers` and `power_primes` return, against the
+    vector reader at every power, and against the splitting reference
+    (`tests/decompositions.py`) up to I^reference.  Every orbit of masks
+    is read once.  Returns the supports per power and whether some mask
+    lies partly in a class."""
+    read, powers = monomials._walk(I, s_max)
+    chain = associated_primes_of_powers(I, s_max)
+    found, partly = [], False
+    for s, value in enumerate(itertools.islice(powers, s_max), start=1):
+        classes, masks = read(value)
+        partly |= _partly_in(classes, masks)
+        orbits = monomials._mask_orbits(classes, masks)
+        assert len(orbits) == len(set(orbits)), (I, s)
+        supports = {
+            frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in orbits
+        }
+        assert supports == _vector_supports(I, s), (I, s)
+        assert {p.support for p in chain[s - 1]} == supports, (I, s)
+        assert {p.support for p in power_primes(I, s)} == supports, (I, s)
+        if s <= reference:
+            expected = reference_decomposition(ideal_power(I, s))
+            assert supports == {c.support for c in expected}, (I, s)
+        found.append(supports)
+    return found, partly
+
+
+class TestSupportMasks:
+    # The walk reads only the support masks of each power's canonical
+    # components (`staircase.supports`, `_walk`'s pairs reader) and expands
+    # their orbits on the masks (`_mask_orbits`).
+
+    def test_corpus_chains_with_the_gate_open_and_shut(self, monkeypatch):
+        chains = [
+            ((name, t), partial_cover_ideal(g, t))
+            for name, g in graph_corpus()
+            for t in range(1, g.max_degree() + 1)
+        ]
+        for key, J in chains:
+            # Open: every chain walks the box of J^4.
+            radix = [1 + 4 * max(column) for column in zip(*J.gens)]
+            assert math.prod(radix) <= monomials._STAIRCASE_MAX_BITS, key
+        opened = [_masks_agree(J, 4, reference=2)[0] for _, J in chains]
+        # Shut: every power is stepped as a pair and decomposed by the
+        # incremental loop.
+        monkeypatch.setattr(monomials, "_STAIRCASE_MAX_BITS", 0)
+        with mock.patch.object(loop, "_components", wraps=loop._components) as kernel:
+            shut = [_masks_agree(J, 4)[0] for _, J in chains]
+        assert kernel.call_count >= 4 * len(chains)
+        for (key, _), a, b in zip(chains, opened, shut):
+            assert a == b, key
+
+    def test_stars_with_classes_partly_in_a_support(self):
+        # Each star K_{1,n} has its leaves as one class; the walk to
+        # s = 3 stays inside the limit up to n = 8.  Below t = n some
+        # prime holds the centre and only some of the leaves.
+        for n in range(4, 9):
+            assert 4 ** (n + 1) <= monomials._STAIRCASE_MAX_BITS
+            ts = range(1, n + 1)
+            partly = [_masks_agree(star_generators(n, t), 3)[1] for t in ts]
+            assert partly == [t < n for t in ts], n
+
+    @settings(max_examples=40, deadline=None)
+    @example((_CHAIN_EXAMPLES[0], []), 3)
+    @example((_CHAIN_EXAMPLES[1], [(0, 1)]), 3)
+    @given(
+        st.one_of(
+            symmetric_ideals_strategy(),
+            ideals_strategy().map(lambda I: (I, [])),
+        ),
+        st.integers(1, 3),
+    )
+    def test_non_squarefree_ideals(self, case, s_max):
+        _masks_agree(case[0], s_max, reference=2)
+
+
 @st.composite
 def membership_cases(draw):
     """An ideal, unit ideal included, with up to two variables in no
