@@ -1,10 +1,13 @@
 """Partial t-cover ideals of graphs: exact associated-prime machinery.
 
 The package splits into a graph layer (graphs), an exact monomial-ideal
-engine (monomials), the cover-ideal constructions (covers), associated
-prime analysis with closed-form predictions and witnesses (associated),
-the hypergraph chromatic-gap family (hypercovers), the fixed test corpus
-(catalog) and a command-line front end (cli).
+engine (monomials) with its two decomposition kernels, the bit-parallel
+exponent box (staircase) and the incremental loop (loop), the
+cover-ideal constructions (covers), associated prime analysis with
+closed-form predictions and witnesses (associated), the hypergraph
+chromatic-gap family (hypercovers), the immutable record base of the
+value classes (record), the fixed test corpus (catalog) and a
+command-line front end (cli).
 """
 
 from .associated import (
@@ -72,6 +75,8 @@ from .monomials import (
     minimalize,
     monomial_from_str,
     monomial_str,
+    power_contains,
+    power_primes,
     prime_str,
     sorted_primes,
     witness_search,

@@ -52,14 +52,6 @@ class Graph(Record):
             for v, nbrs in adjacency.items()
         })
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
     @classmethod
     def build(cls, vertices, edges) -> Graph:
         """Construct from any iterables of labels and label pairs."""

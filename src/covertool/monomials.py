@@ -84,18 +84,6 @@ class MonomialIdeal(Record):
 
     __slots__ = ("ambient", "gens")
 
-    def __init__(self, ambient: tuple[str, ...], gens: tuple[tuple[int, ...], ...]):
-        _set(self, "ambient", ambient)
-        _set(self, "gens", gens)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ambient == other.ambient and self.gens == other.gens
-
-    def __hash__(self):
-        return hash((self.ambient, self.gens))
-
     @property
     def nvars(self) -> int:
         return len(self.ambient)
@@ -770,10 +758,12 @@ def monomial_from_str(text: str, ambient: tuple[str, ...]) -> tuple[int, ...]:
         name, caret, power = part.strip().partition("^")
         if name not in ambient:
             raise ValueError(f"unknown variable {name!r}")
-        e = int(power) if caret else 1  # an empty exponent raises here
-        if e < 0:
-            raise ValueError(f"negative exponent in {part.strip()!r}")
-        exps[ambient.index(name)] += e
+        # int() would also take signs, spaces, underscores and non-ASCII
+        # digits; an exponent is ASCII decimal digits only.
+        if caret and not (power.isascii() and power.isdigit()):
+            what = "negative" if power.startswith("-") else "malformed"
+            raise ValueError(f"{what} exponent in {part.strip()!r}")
+        exps[ambient.index(name)] += int(power) if caret else 1
     return tuple(exps)
 
 

@@ -6,12 +6,16 @@ stays out of the constructor, equality, hash and repr.  Otherwise a
 record behaves as a frozen dataclass: it is built by position or by
 name, equals only a record of its own class with equal fields, hashes
 as the tuple of its fields, prints as `Name(field=value, ...)` and
-refuses assignment and deletion.  Only a record that checks or derives
-a field, or that the engine compares and hashes in its loops, sets its
-slots in its own `__init__` with `_set`: `MonomialPrime`,
-`IrreducibleComponent`, `MonomialIdeal`, `Graph` and `Hypergraph`.  Of
-these, `MonomialPrime`, `MonomialIdeal` and `Graph` define `__eq__` and
-`__hash__` too: the generic ones cost about twice as much per call.
+refuses assignment and deletion.  A record writes its own `__init__`,
+setting its slots with `_set`, only to check or derive a field:
+`MonomialPrime`, `IrreducibleComponent`, `Graph` and `Hypergraph`.
+`MonomialPrime` alone writes `__eq__` and `__hash__`, as the one record
+that commands compare and hash often: one batch of the benchmark's
+`tree_sweep` (60 commands) makes 3,896 prime comparisons and 3,790
+prime hashes, and no `MonomialIdeal` or `Graph` comparison or hash in
+any workload.  Per call the generic pair costs 0.29 against 0.09 µs
+for `==` and 0.18 against 0.13 µs for the hash (Python 3.11, 2-core
+VM), about 1 ms per such batch.
 The dataclass decorator would cost every command's start-up: each
 decoration compiles six methods with `exec`, and importing
 `dataclasses` loads `inspect`.

@@ -147,9 +147,15 @@ class TestMonomial:
     def test_string_round_trip(self):
         for text in ("1", "x1", "x2^3", "x1*x3^2*x4"):
             assert monomial_str(mono(X4, text), X4) == text
-        for bad in ("y1", "x1^", "x2*x1^", "x1^-1", "x2*x1^-1"):
+        for bad in (
+            "y1", "x1^", "x2*x1^", "x1^-1", "x2*x1^-1",
+            # int() reads each of these exponents.
+            "x1^1_0", "x1^\u0663", "x1^+2", "x1^ 2",
+        ):
             with pytest.raises(ValueError):
                 monomial_from_str(bad, X4)
+        with pytest.raises(ValueError, match="^negative exponent in 'x1\\^-1'$"):
+            monomial_from_str("x2*x1^-1", X4)
 
     def test_generators_are_plain_exponent_tuples(self):
         I = ideal(X4, "x2", "x3", "x1*x4")

@@ -68,15 +68,22 @@ def test_missing_or_unknown_field_is_a_type_error(cls):
         cls(*values, values[0])
 
 
-def test_only_checking_or_engine_records_define_init():
-    # Every other record stores its fields through Record.__init__.
+def test_only_checking_records_define_init():
+    # Every other record stores its fields through Record.__init__, and
+    # compares and hashes through Record's __eq__ and __hash__.
     own = {cls for cls in Record.__subclasses__() if "__init__" in vars(cls)}
-    assert own == {MonomialPrime, IrreducibleComponent, MonomialIdeal, Graph, Hypergraph}
+    assert own == {MonomialPrime, IrreducibleComponent, Graph, Hypergraph}
+    for method in ("__eq__", "__hash__"):
+        own = {cls for cls in Record.__subclasses__() if method in vars(cls)}
+        assert own == {MonomialPrime}, method
 
 
 def test_type_errors_name_the_class_and_the_field():
     values = SAMPLES[StabilityReport]
+    misspelt = dict(zip(StabilityReport._fields[:-1], values), first_violatoin=None)
     for args, named, message in [
+        # Every field by name, one misspelt: the fast path gives way.
+        ((), misspelt, "unknown field 'first_violatoin', missing field 'first_violation'"),
         (values[:-1], {}, "missing field 'first_violation'"),
         (values, {"bogus": 1}, "unknown field 'bogus'"),
         (values[:1], {"s_max": 3}, "two values for field 's_max'"),
