@@ -55,31 +55,26 @@ class CommandError(Exception):
     """Operational failure: bad input, unmet precondition, cap hit."""
 
 
-def _load_input(path: str) -> Graph | Hypergraph:
+def _load_input(args) -> Graph | Hypergraph:
+    """The graph or hypergraph in `args.file`, within the variable cap."""
+    path = args.file
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc.strerror}") from exc
     try:
-        return parse_graph_or_hypergraph(text)
+        obj = parse_graph_or_hypergraph(text)
     except ParseError as exc:
         raise CommandError(f"{path}: {exc}") from exc
+    _cap(args, obj.n > MAX_VARIABLES, f"{obj.n} variables > {MAX_VARIABLES}")
+    return obj
 
 
-def _check_power_cap(value: int, name: str, force: bool):
-    if value > MAX_POWER and not force:
-        raise CommandError(
-            f"cap exceeded: {name}={value} > {MAX_POWER} (override with --force)"
-        )
-
-
-def _check_variable_cap(count: int, force: bool):
-    if count > MAX_VARIABLES and not force:
-        raise CommandError(
-            f"cap exceeded: {count} variables > {MAX_VARIABLES} "
-            "(override with --force)"
-        )
+def _cap(args, exceeded: bool, what: str):
+    """Refuse an exceeded desk-scale cap unless `--force` was given."""
+    if exceeded and not args.force:
+        raise CommandError(f"cap exceeded: {what} (override with --force)")
 
 
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
@@ -162,7 +157,9 @@ def _gens_text(ideal: MonomialIdeal) -> str:
 
 
 def _cover_ideal(obj: Graph | Hypergraph, t: int) -> MonomialIdeal:
-    """J_t of a graph, or the cover ideal of a hypergraph, which has no t."""
+    """J_t of a graph, or the cover ideal of a hypergraph, which has no t.
+    A hypergraph file has an edge of three or more vertices, so only J_t
+    of a graph can be the unit ideal."""
     if isinstance(obj, Graph):
         return partial_cover_ideal(obj, t)
     if t != 1:
@@ -173,8 +170,7 @@ def _cover_ideal(obj: Graph | Hypergraph, t: int) -> MonomialIdeal:
 
 
 def cmd_ideal(args) -> int:
-    obj = _load_input(args.file)
-    _check_variable_cap(obj.n, args.force)
+    obj = _load_input(args)
     ideal = _cover_ideal(obj, args.t)
     unit = ideal.is_unit
     payload = {
@@ -202,56 +198,48 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_ass(args) -> int:
-    obj = _load_input(args.file)
-    _check_variable_cap(obj.n, args.force)
-    _check_power_cap(args.s, "s", args.force)
-    payload: dict = {"t": args.t, "s": args.s}
-    lines: list[str] = []
+    obj = _load_input(args)
+    _cap(args, args.s > MAX_POWER, f"s={args.s} > {MAX_POWER}")
+    graph = isinstance(obj, Graph)
+    if not graph and args.mode != "direct":
+        raise CommandError("localized mode needs a graph file")
+    if args.predict and not (graph and obj.is_tree()):
+        if graph:  # the checks `ass_of_power` makes come first
+            _check_positive("t", args.t)
+            _check_positive("s", args.s)
+            cover_ideal_checked(obj, args.t)
+        raise CommandError("closed form proven only for trees")
+    modes = ["direct", "localized"] if args.mode == "both" else [args.mode]
+    if graph:
+        found = {mode: ass_of_power(obj, args.t, args.s, mode).primes for mode in modes}
+    else:
+        ideal = _cover_ideal(obj, args.t)
+        _check_positive("s", args.s)
+        found = {"direct": power_primes(ideal, args.s)}
+    ambient = obj.vertices
+    payload: dict = {"t": args.t, "s": args.s, "ambient": list(ambient)}
     # Primes are sorted and labelled once, for the format asked for only.
     as_json = args.format == "json"
     render = partial(_primes_json, labels={}) if as_json else _primes_text
-    shown = {}
+    shown = {mode: render(primes, ambient) for mode, primes in found.items()}
+    lines = list(modes)
+    at = f" at t={args.t} s={args.s}"
     exit_code = OK
-    if isinstance(obj, Graph):
-        at = f" at t={args.t} s={args.s}"
-        modes = ["direct", "localized"] if args.mode == "both" else [args.mode]
-        reports = {mode: ass_of_power(obj, args.t, args.s, mode) for mode in modes}
-        report = reports[modes[0]]
-        ambient = report.ambient
-        payload["ambient"] = list(ambient)
-        for mode in modes:
-            shown[mode] = render(reports[mode].primes, ambient)
-            lines.append(mode)
-        if len(modes) == 2:
-            agree = reports["direct"].primes == reports["localized"].primes
-            payload["modes_agree"] = agree
-            lines.append("modes agree" if agree else f"MISMATCH: modes disagree{at}")
-            if not agree:
-                exit_code = INTEGRITY_ERROR
-        if args.predict:
-            predicted = predict_ass_tree(obj, args.t, args.s)
-            match = predicted.primes == report.primes
-            shown["predicted"] = (
-                shown[modes[0]] if match else render(predicted.primes, ambient)
-            )
-            payload["match"] = match
-            lines.append("predicted")
-            lines.append("MATCH" if match else f"MISMATCH: prediction differs{at}")
-            if not match:
-                exit_code = INTEGRITY_ERROR
-    else:
-        if args.mode != "direct":
-            raise CommandError("localized mode needs a graph file")
-        if args.predict:
-            raise CommandError("closed form proven only for trees")
-        # A hypergraph file has an edge of three or more vertices, so its
-        # cover ideal is never the unit ideal.
-        ideal = _cover_ideal(obj, args.t)
-        _check_positive("s", args.s)
-        primes = power_primes(ideal, args.s)
-        payload["ambient"] = list(obj.vertices)
-        shown["direct"] = render(primes, obj.vertices)
-        lines.append("direct")
+    if len(modes) == 2:
+        agree = found["direct"] == found["localized"]
+        payload["modes_agree"] = agree
+        lines.append("modes agree" if agree else f"MISMATCH: modes disagree{at}")
+        if not agree:
+            exit_code = INTEGRITY_ERROR
+    if args.predict:
+        predicted = predict_ass_tree(obj, args.t, args.s).primes
+        match = predicted == found[modes[0]]
+        shown["predicted"] = shown[modes[0]] if match else render(predicted, ambient)
+        payload["match"] = match
+        lines.append("predicted")
+        lines.append("MATCH" if match else f"MISMATCH: prediction differs{at}")
+        if not match:
+            exit_code = INTEGRITY_ERROR
     if as_json:
         payload.update(shown)
     else:
@@ -262,12 +250,9 @@ def cmd_ass(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    obj = _load_input(args.file)
-    _check_variable_cap(obj.n, args.force)
-    _check_power_cap(args.smax, "smax", args.force)
+    obj = _load_input(args)
+    _cap(args, args.smax > MAX_POWER, f"smax={args.smax} > {MAX_POWER}")
     graph = isinstance(obj, Graph)
-    # A hypergraph file has an edge of three or more vertices, so only J_t
-    # of a graph can be the unit ideal.
     ideal = cover_ideal_checked(obj, args.t) if graph else _cover_ideal(obj, args.t)
     is_tree = graph and obj.is_tree()
     report = empirical_astab(ideal, args.smax)
@@ -328,8 +313,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    _check_variable_cap(args.n + 1, args.force)
-    _check_power_cap(args.s, "s", args.force)
+    _cap(args, args.n + 1 > MAX_VARIABLES, f"{args.n + 1} variables > {MAX_VARIABLES}")
+    _cap(args, args.s > MAX_POWER, f"s={args.s} > {MAX_POWER}")
     cert = build_star_witness(args.n, args.t, args.s)
     ambient = star_graph(args.n).vertices
     passes = cert.valid
@@ -355,9 +340,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    _check_power_cap(args.smax or 0, "smax", args.force)
-    if args.m > GAP_FAMILY_CAP and not args.force:
-        raise CommandError(f"cap exceeded: m={args.m} (override with --force)")
+    _cap(args, (args.smax or 0) > MAX_POWER, f"smax={args.smax} > {MAX_POWER}")
+    _cap(args, args.m > GAP_FAMILY_CAP, f"m={args.m}")
     report = verify_gap(args.m, s_max=args.smax)
     payload = fields(report)
     tail = report.oracle_astab
@@ -388,27 +372,22 @@ def cmd_gap(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    obj = _load_input(args.file)
+    obj = _load_input(args)
     if not isinstance(obj, Graph):
         raise CommandError("sweep needs a graph file")
-    _check_variable_cap(obj.n, args.force)
-    delta = obj.max_degree() if obj.edges else 0
+    delta = obj.max_degree()
     if delta == 0:
         raise CommandError("the graph has no edges; nothing to sweep")
-    ts = [args.t] if args.t is not None else list(range(1, delta + 1))
-    for t in ts:
-        if t > delta:
-            raise CommandError(f"t={t} exceeds the maximum degree {delta}")
+    if args.t is not None and args.t > delta:
+        raise CommandError(f"t={args.t} exceeds the maximum degree {delta}")
     is_tree = obj.is_tree()
     smaxes = {}
-    for t in ts:
-        if args.smax is not None:
-            smaxes[t] = args.smax
-        elif is_tree:
-            smaxes[t] = astab_tree(obj, t) + 1
-        else:
-            smaxes[t] = 3
-        _check_power_cap(smaxes[t], "smax", args.force)
+    for t in [args.t] if args.t is not None else range(1, delta + 1):
+        smax = args.smax
+        if smax is None:
+            smax = astab_tree(obj, t) + 1 if is_tree else 3
+        _cap(args, smax > MAX_POWER, f"smax={smax} > {MAX_POWER}")
+        smaxes[t] = smax
     cells = []
     lines = []
     labels = {}

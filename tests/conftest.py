@@ -1,4 +1,5 @@
-"""Shared fixtures, the hypothesis profile and the acceptance summary hook.
+"""Shared fixtures, the hypothesis profile, the acceptance summary hook
+and what the tests need to know of the interpreter's argparse.
 
 Tests named test_criterion_NN in test_acceptance.py get one
 "ACCEPTANCE NN: PASS/FAIL" line in the terminal summary, so the
@@ -6,6 +7,9 @@ verification status of each headline claim is readable at a glance
 regardless of output capture settings.
 """
 
+import argparse
+import contextlib
+import io
 import re
 
 import pytest
@@ -15,6 +19,25 @@ from hypothesis import settings
 # max_examples settings still apply on top of this profile.
 settings.register_profile("tier1", derandomize=True)
 settings.load_profile("tier1")
+
+
+def _leading_dashes_end_options() -> bool:
+    """Whether argparse reads `-- name` as the subcommand `name`: 3.13.13
+    does; 3.10.13, 3.11.7, 3.12.1 and 3.13.0 exit 2.  Patch releases
+    changed it, so it is asked of argparse, not read off the version."""
+    parser = argparse.ArgumentParser()
+    parser.add_subparsers(dest="command", required=True).add_parser("name")
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parser.parse_args(["--", "name"])
+    except SystemExit:
+        return False
+    return True
+
+
+# `covertool -- sweep FILE` runs the sweep (exit 0) on such an argparse
+# and is a usage error (exit 2) on the others.
+LEADING_DASHES_END_OPTIONS = _leading_dashes_end_options()
 
 _CRITERION = re.compile(r"test_criterion_0*(\d+)")
 _acceptance_outcomes = {}

@@ -20,6 +20,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from conftest import LEADING_DASHES_END_OPTIONS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,8 @@ C5 = (
     "edge: x1 x2\nedge: x2 x3\nedge: x3 x4\nedge: x4 x5\nedge: x1 x5\n"
 )
 H1 = "vertices: z x1 x2 x3\nedge: z x1 x2\nedge: z x1 x3\nedge: z x2 x3\n"
+HYPER13 = "vertices: " + " ".join(f"v{i}" for i in range(13)) + "\nedge: v0 v1 v2\n"
+UNIT_J9 = "J_9 of this graph is the unit ideal: no constraints (t exceeds all degrees)"
 LEAVES7 = [f"x{i}" for i in range(1, 8)]
 STAR7 = "vertices: z " + " ".join(LEAVES7) + "\n"
 STAR7 += "".join(f"edge: z {x}\n" for x in LEAVES7)
@@ -132,6 +135,29 @@ class TestAss:
         )
         assert code == 1
         assert "only for trees" in err
+
+    @pytest.mark.parametrize("mode", ["direct", "both"])
+    def test_non_tree_predict_refused_before_oracle_work(
+        self, graph_file, capsys, monkeypatch, mode
+    ):
+        # The checks before the oracle come first (t, s, the unit ideal),
+        # then the refusal, and no power of J_1(C_5) is read at all.
+        from covertool import associated
+
+        calls = []
+        for module in (cli, associated):
+            oracle = module.power_primes
+
+            def spy(ideal, *args, oracle=oracle):
+                calls.append(ideal)
+                return oracle(ideal, *args)
+
+            monkeypatch.setattr(module, "power_primes", spy)
+        argv = ["ass", "--t", "1", "--s", "3", "--mode", mode, "--predict"]
+        code, out, err = run(capsys, *argv, graph_file(C5))
+        assert (code, out) == (1, "")
+        assert err == "error: closed form proven only for trees\n"
+        assert calls == []
 
     def test_both_modes_agree(self, graph_file, capsys):
         code, out, _ = run(
@@ -509,6 +535,37 @@ class TestErrorsAndFormats:
         assert code == 0
         assert out.strip() and "error" not in out
 
+    # An input with two faults: the one reported is fixed by the order
+    # of the checks (the file and its variable cap, the power caps, then
+    # each command's own).
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("ass --t 9 --s 0 star3", "s must be a positive integer, got 0"),
+            ("stability --t 9 --smax 0 star3", UNIT_J9),
+            ("ass --t 9 --s 1 --predict c5", UNIT_J9),
+            ("ass --t 2 --s 1 --predict h1", "closed form proven only for trees"),
+            (
+                "ass --t 2 --s 1 --mode localized --predict h1",
+                "localized mode needs a graph file",
+            ),
+            (
+                "ass --t 2 --s 0 h1",
+                "hypergraph cover ideals have no t parameter; use --t 1 or omit it",
+            ),
+            ("sweep --t 9 --smax 0 star3", "t=9 exceeds the maximum degree 3"),
+            ("witness --n 12 --t 0 --s 7", "cap exceeded: 13 variables > 12"),
+            ("gap --m 4 --smax 7", "cap exceeded: smax=7 > 6"),
+            ("sweep h13", "cap exceeded: 13 variables > 12"),
+        ],
+    )
+    def test_first_of_two_faults_is_reported(self, graph_file, capsys, argv, err):
+        inputs = {"star3": STAR3, "c5": C5, "h1": H1, "h13": HYPER13}
+        argv = [graph_file(inputs[a]) if a in inputs else a for a in argv.split()]
+        if err.startswith("cap exceeded"):
+            err += " (override with --force)"
+        assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
     def test_json_shape_and_determinism(self, graph_file, capsys):
         path = graph_file(STAR3)
         argv = ["ass", "--t", "2", "--s", "2", "--predict", "--format", "json", path]
@@ -773,7 +830,8 @@ class TestLazyParser:
             *((f"{name} -h", 0) for name in cli._SUBCOMMANDS),
             ("frobnicate p4.graph", 2),
             ("swee p4.graph", 2),
-            ("-- sweep p4.graph", 2),
+            # The lazy parser declines `--`, so both follow argparse.
+            ("-- sweep p4.graph", 0 if LEADING_DASHES_END_OPTIONS else 2),
             ("ideal --t x p4.graph", 2),
             ("ass --s 1 --format xml p4.graph", 2),
             ("ass p4.graph", 2),

@@ -232,8 +232,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "print(covertool.cli.__file__); "
         "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
+    # -S: no `site`, whose `.pth` files may import `inspect` themselves, so
+    # the probe sees covertool's own imports on any interpreter.
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         capture_output=True, text=True, check=True, env=env, timeout=60,
     ).stdout.splitlines()
     assert Path(out[0]).resolve().parent == PACKAGE

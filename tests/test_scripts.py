@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import LEADING_DASHES_END_OPTIONS
 
 from covertool.graphs import path_graph, star_graph
 from covertool.record import replace
@@ -164,8 +165,10 @@ def test_cli_digest_on_a_subset(tmp_path, monkeypatch):
     ]
     # n = 3: t = 2 needs s >= 2 and t = 3 any s >= 1; the rest exit 1.
     assert first["witness"][:2] == (35, {0: 11, 1: 24})
-    # Eight help texts, one missing file, the rest usage errors.
-    assert first["usage"][:2] == (19, {0: 8, 1: 1, 2: 10})
+    # Eight help texts, one missing file, the rest usage errors; an
+    # argparse that ends options at a leading `--` runs `-- sweep` (exit 0).
+    usage = {0: 9, 1: 1, 2: 9} if LEADING_DASHES_END_OPTIONS else {0: 8, 1: 1, 2: 10}
+    assert first["usage"][:2] == (19, usage)
     assert cli_digest.digests(commands) == first
     code, out, err = cli_digest.run_command(witness[16])  # t=2 s=2
     assert (code, err) == (0, "")
