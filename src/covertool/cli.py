@@ -56,13 +56,16 @@ class CommandError(Exception):
 
 
 def _load_input(args) -> Graph | Hypergraph:
-    """The graph or hypergraph in `args.file`, within the variable cap."""
+    """The graph or hypergraph in `args.file`, UTF-8 text with or without
+    a byte order mark, within the variable cap."""
     path = args.file
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CommandError(f"cannot read {path}: {exc}") from exc
     try:
         obj = parse_graph_or_hypergraph(text)
     except ParseError as exc:

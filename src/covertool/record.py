@@ -6,16 +6,17 @@ stays out of the constructor, equality, hash and repr.  Otherwise a
 record behaves as a frozen dataclass: it is built by position or by
 name, equals only a record of its own class with equal fields, hashes
 as the tuple of its fields, prints as `Name(field=value, ...)` and
-refuses assignment and deletion.  A record writes its own `__init__`,
-setting its slots with `_set`, only to check or derive a field:
-`MonomialPrime`, `IrreducibleComponent`, `Graph` and `Hypergraph`.
-`MonomialPrime` alone writes `__eq__` and `__hash__`, as the one record
-that commands compare and hash often: one batch of the benchmark's
-`tree_sweep` (60 commands) makes 3,896 prime comparisons and 3,790
-prime hashes, and no `MonomialIdeal` or `Graph` comparison or hash in
-any workload.  Per call the generic pair costs 0.29 against 0.09 µs
-for `==` and 0.18 against 0.13 µs for the hash (Python 3.11, 2-core
-VM), about 1 ms per such batch.
+refuses assignment and deletion.  A class keeps one table, `_fields`,
+its public slot names, and every method reads the fields by name
+through it.  A record writes its own `__init__`, setting its slots
+with `_set`, only to check or derive a field: `MonomialPrime`,
+`IrreducibleComponent`, `Graph` and `Hypergraph`.  `MonomialPrime`
+alone writes `__eq__` and `__hash__`, as the one record that commands
+compare and hash: one batch of the benchmark's `tree_sweep` (60
+commands) makes 3,896 prime comparisons and 3,790 prime hashes, and
+no other record is compared or hashed in any workload.  Per call the
+generic pair costs 0.77 against 0.09 µs for `==` and 0.44 against
+0.12 µs for the hash (Python 3.11, 2-core VM), about 4 ms per batch.
 The dataclass decorator would cost every command's start-up: each
 decoration compiles six methods with `exec`, and importing
 `dataclasses` loads `inspect`.
@@ -23,16 +24,8 @@ decoration compiles six methods with `exec`, and importing
 
 from __future__ import annotations
 
-import operator
-
 # Sets a slot past Record.__setattr__; for use in __init__ only.
 _set = object.__setattr__
-
-
-def _tuple_getter(getter, names):
-    get = getter(*names)
-    # attrgetter and itemgetter of one name return the value, not a 1-tuple.
-    return staticmethod(get if len(names) > 1 else lambda x: (get(x),))
 
 
 class Record:
@@ -42,43 +35,38 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
-        cls._values = _tuple_getter(operator.attrgetter, cls._fields)
-        cls._pick = _tuple_getter(operator.itemgetter, cls._fields)
-        # The slot descriptors' own setters, past __setattr__.
-        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
     def __init__(self, *values, **named):
         if named or len(values) != len(self._fields):
             values = self._bind(values, named)
-        for set_field, value in zip(self._setters, values):
-            set_field(self, value)
+        for field, value in zip(self._fields, values):
+            _set(self, field, value)
 
     @classmethod
     def _bind(cls, values, named):
         """The field values, in field order, of a call by name or with a
         wrong count; a bad call raises TypeError, as a function call would."""
         fields = cls._fields
-        if not values and len(named) == len(fields):
-            try:
-                return cls._pick(named)
-            except KeyError:
-                pass
         bound = dict(zip(fields, values))
         errors = [f"unknown field {f!r}" for f in named if f not in fields]
         errors += [f"two values for field {f!r}" for f in named if f in bound]
-        errors += [f"missing field {f!r}" for f in fields if f not in {**bound, **named}]
+        bound.update(named)
+        errors += [f"missing field {f!r}" for f in fields if f not in bound]
         errors += [f"no field for value {v!r}" for v in values[len(fields):]]
         if errors:
             raise TypeError(f"{cls.__qualname__}(): {', '.join(errors)}")
-        return cls._pick({**bound, **named})
+        return [bound[f] for f in fields]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values(self) == other._values(other)
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values(self))
+        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -93,12 +81,12 @@ class Record:
     def __reduce__(self):
         # copy and pickle rebuild through __init__; their default restore
         # of slot state would go through __setattr__.
-        return self.__class__, self._values(self)
+        return self.__class__, self._values()
 
 
 def fields(record: Record) -> dict:
     """The fields of record by name, in field order."""
-    return dict(zip(record._fields, record._values(record)))
+    return dict(zip(record._fields, record._values()))
 
 
 def replace(record: Record, **changes) -> Record:

@@ -48,14 +48,15 @@ STAR6 += "".join(f"edge: z {x}\n" for x in LEAVES7[:6])
 
 
 def power_steps(capsys, *argv):
-    """Run one command from a cold `ideal_power` memo: (exit code, the
-    `_power_step` calls it took, the powers it left in the memo)."""
-    monomials.ideal_power.cache_clear()
+    """Run one command: (exit code, the `_power_step` calls it took, the
+    `ideal_power` calls it made)."""
     with mock.patch.object(
         monomials, "_power_step", wraps=monomials._power_step
-    ) as step:
+    ) as step, mock.patch.object(
+        monomials, "ideal_power", wraps=monomials.ideal_power
+    ) as power:
         code, _, _ = run(capsys, *argv)
-    return code, step.call_count, monomials.ideal_power.cache_info().currsize
+    return code, step.call_count, power.call_count
 
 
 @pytest.fixture
@@ -412,17 +413,10 @@ class TestSweep:
     def test_past_limit_chain_caches_no_power(self, graph_file, capsys):
         # J_2 of K_{1,7} walked to s = 7: the box of J^7 has 8^8 points,
         # past the staircase limit, so each power is stepped from the one
-        # before, and none is left in the memo of ideal_power.
+        # before, and none is built through ideal_power.
         path = graph_file(STAR7)
         for argv in (["sweep", "--t", "2"], ["stability", "--t", "2", "--smax", "7"]):
-            monomials.ideal_power.cache_clear()
-            with mock.patch.object(
-                monomials, "_power_step", wraps=monomials._power_step
-            ) as step:
-                code, _, _ = run(capsys, *argv, "--force", path)
-            assert code == 0, argv
-            assert step.call_count == 6, argv
-            assert monomials.ideal_power.cache_info().currsize == 0, argv
+            assert power_steps(capsys, *argv, "--force", path) == (0, 6, 0), argv
 
     def test_closed_stdout_exits_cleanly(self, graph_file):
         # The JSON sweep of K_{1,6} (93,145 bytes) outgrows a 64 KiB pipe,
@@ -468,9 +462,10 @@ def test_past_limit_commands_never_call_ideal_power(graph_file, capsys):
             assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
 
 
-# The covertool modules that `import covertool.cli` loads, the same
-# allowlist as the Start-up step of CI: `catalog`, `loop` and any later
-# module stay off every command's start-up unless this list changes.
+# The covertool modules that `import covertool.cli` loads, the one
+# start-up allowlist; CI's Start-up step runs the test below by node id.
+# `catalog`, `loop` and any later module stay off every command's
+# start-up unless this list changes.
 START_UP_MODULES = [
     "covertool", "covertool.associated", "covertool.cli", "covertool.covers",
     "covertool.graphs", "covertool.hypercovers", "covertool.monomials",
@@ -514,6 +509,25 @@ class TestErrorsAndFormats:
         code, _, err = run(capsys, "ideal", "/nonexistent/input.graph")
         assert code == 1
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys, fmt):
+        plain, marked = tmp_path / "p4.graph", tmp_path / "p4-bom.graph"
+        plain.write_text(P4, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + P4.encode())
+        argv = ["ideal", "--t", "2", "--dual", "--format", fmt]
+        code, out, err = run(capsys, *argv, str(marked))
+        assert (code, out, err) == (0, *run(capsys, *argv, str(plain))[1:])
+
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "utf16.graph"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "ideal", "--t", "2", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1363,14 +1363,15 @@ def _chain_agrees(I, s_max):
     """The power chain equals Ass of every power built and decomposed on
     its own.  Returns whether the box of I^s_max lies within the
     staircase limit, where the chain must build no power; past it the
-    chain takes one step per power after I.  It never reads the memo of
+    chain takes one step per power after I.  It never calls
     `ideal_power`."""
-    memo = ideal_power.cache_info()
     with mock.patch.object(
         monomials, "_power_step", wraps=monomials._power_step
-    ) as step:
+    ) as step, mock.patch.object(
+        monomials, "ideal_power", wraps=ideal_power
+    ) as power:
         got = associated_primes_of_powers(I, s_max)
-    assert ideal_power.cache_info() == memo, I
+    assert power.call_count == 0, I
     box = math.prod(1 + s_max * max(column) for column in zip(*I.gens))
     inside = box <= monomials._STAIRCASE_MAX_BITS
     assert step.call_count == (0 if inside else s_max - 1), I
@@ -1481,17 +1482,18 @@ class TestPowerChain:
 def _single_agrees(I, s):
     """Ass of the one power I^s equals Ass of the power built and
     decomposed.  Returns whether I^s is I or its box lies within the
-    staircase limit, where no power may be built and the memo of
-    `ideal_power` stays empty; past it the power takes s - 1 steps."""
-    ideal_power.cache_clear()
+    staircase limit, where no power may be built and `ideal_power` is
+    not called; past it the power takes s - 1 steps."""
     with mock.patch.object(
         monomials, "_power_step", wraps=monomials._power_step
-    ) as step:
+    ) as step, mock.patch.object(
+        monomials, "ideal_power", wraps=ideal_power
+    ) as power:
         got = power_primes(I, s)
     box = math.prod(1 + s * max(column) for column in zip(*I.gens))
     inside = s == 1 or box <= monomials._STAIRCASE_MAX_BITS
     if inside:
-        assert step.call_count == 0 and ideal_power.cache_info().currsize == 0, I
+        assert step.call_count == 0 and power.call_count == 0, I
     else:
         assert step.call_count == s - 1, I
     assert got == associated_primes(ideal_power(I, s)), (I, s)
@@ -1584,12 +1586,13 @@ class TestSinglePower:
         for I, s in ((GATE_INSIDE, 3), (GATE_PAST, 2)):
             tops = tuple(s * max(column) for column in zip(*I.gens))
             points = [tops, tuple(x - 1 for x in tops), tuple(x // 2 for x in tops)]
-            ideal_power.cache_clear()
             with mock.patch.object(
                 monomials, "_power_step", wraps=monomials._power_step
-            ) as step:
+            ) as step, mock.patch.object(
+                monomials, "ideal_power", wraps=ideal_power
+            ) as spy:
                 got = power_contains(I, s, points)
-            assert step.call_count == 0, I
+            assert (step.call_count, spy.call_count) == (0, 0), I
             power = ideal_power(I, s)
             assert got == [contains(power, x) for x in points], I
             assert got[0], I

@@ -82,7 +82,7 @@ def test_type_errors_name_the_class_and_the_field():
     values = SAMPLES[StabilityReport]
     misspelt = dict(zip(StabilityReport._fields[:-1], values), first_violatoin=None)
     for args, named, message in [
-        # Every field by name, one misspelt: the fast path gives way.
+        # Every field by name, one misspelt: both faults are named.
         ((), misspelt, "unknown field 'first_violatoin', missing field 'first_violation'"),
         (values[:-1], {}, "missing field 'first_violation'"),
         (values, {"bogus": 1}, "unknown field 'bogus'"),
