@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from json.encoder import encode_basestring_ascii as _encode
 
 from .associated import (
@@ -38,7 +37,6 @@ from .monomials import (
     alexander_dual,
     monomial_str,
     power_primes,
-    prime_str,
     sorted_primes,
 )
 from .record import fields
@@ -60,8 +58,9 @@ def _load_input(args) -> Graph | Hypergraph:
     a byte order mark, within the variable cap."""
     path = args.file
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
+        # Decoded whole, so an error gives the byte's offset in the file.
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -147,8 +146,9 @@ def _primes_json(primes, ambient, labels: dict) -> list[list[str]]:
     return labels[primes]
 
 
-def _primes_text(primes, ambient) -> str:
-    return ", ".join(prime_str(p, ambient) for p in sorted_primes(primes))
+def _primes_text(lists: list[list[str]]) -> str:
+    """`_primes_json`'s label lists as `<a, b>, <c>`."""
+    return ", ".join("<" + ", ".join(labels) + ">" for labels in lists)
 
 
 def _gens_json(ideal: MonomialIdeal) -> list[str]:
@@ -172,7 +172,7 @@ def _cover_ideal(obj: Graph | Hypergraph, t: int) -> MonomialIdeal:
     return hypergraph_cover_ideal(obj)
 
 
-def cmd_ideal(args) -> int:
+def cmd_ideal(args) -> tuple[dict, list[str], int]:
     obj = _load_input(args)
     ideal = _cover_ideal(obj, args.t)
     unit = ideal.is_unit
@@ -196,11 +196,10 @@ def cmd_ideal(args) -> int:
         dual = alexander_dual(ideal)
         payload["dual_generators"] = _gens_json(dual)
         lines.append("dual: " + _gens_text(dual))
-    _emit(args, payload, lines)
-    return OK
+    return payload, lines, OK
 
 
-def cmd_ass(args) -> int:
+def cmd_ass(args) -> tuple[dict, list[str], int]:
     obj = _load_input(args)
     _cap(args, args.s > MAX_POWER, f"s={args.s} > {MAX_POWER}")
     graph = isinstance(obj, Graph)
@@ -219,13 +218,11 @@ def cmd_ass(args) -> int:
         ideal = _cover_ideal(obj, args.t)
         _check_positive("s", args.s)
         found = {"direct": power_primes(ideal, args.s)}
-    ambient = obj.vertices
+    ambient, labels = obj.vertices, {}
     payload: dict = {"t": args.t, "s": args.s, "ambient": list(ambient)}
-    # Primes are sorted and labelled once, for the format asked for only.
-    as_json = args.format == "json"
-    render = partial(_primes_json, labels={}) if as_json else _primes_text
-    shown = {mode: render(primes, ambient) for mode, primes in found.items()}
-    lines = list(modes)
+    for mode, primes in found.items():
+        payload[mode] = _primes_json(primes, ambient, labels)
+    lines = [f"{mode}: {_primes_text(payload[mode])}" for mode in modes]
     at = f" at t={args.t} s={args.s}"
     exit_code = OK
     if len(modes) == 2:
@@ -237,22 +234,16 @@ def cmd_ass(args) -> int:
     if args.predict:
         predicted = predict_ass_tree(obj, args.t, args.s).primes
         match = predicted == found[modes[0]]
-        shown["predicted"] = shown[modes[0]] if match else render(predicted, ambient)
+        payload["predicted"] = _primes_json(predicted, ambient, labels)
         payload["match"] = match
-        lines.append("predicted")
+        lines.append(f"predicted: {_primes_text(payload['predicted'])}")
         lines.append("MATCH" if match else f"MISMATCH: prediction differs{at}")
         if not match:
             exit_code = INTEGRITY_ERROR
-    if as_json:
-        payload.update(shown)
-    else:
-        # A line that names a key of `shown` becomes that key and its primes.
-        lines = [f"{k}: {shown[k]}" if k in shown else k for k in lines]
-    _emit(args, payload, lines)
-    return exit_code
+    return payload, lines, exit_code
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> tuple[dict, list[str], int]:
     obj = _load_input(args)
     _cap(args, args.smax > MAX_POWER, f"smax={args.smax} > {MAX_POWER}")
     graph = isinstance(obj, Graph)
@@ -268,19 +259,12 @@ def cmd_stability(args) -> int:
         "persistence_ok": report.persistence_ok,
         "first_violation": report.first_violation,
     }
-    lines = []
-    # Primes are sorted and labelled for the format asked for only.
-    if args.format == "json":
-        labels = {}
-        payload["per_power"] = [
-            {"s": s, "primes": _primes_json(primes, ambient, labels)}
-            for s, primes in enumerate(report.per_power, start=1)
-        ]
-    else:
-        lines = [
-            f"s={s}: {_primes_text(primes, ambient)}"
-            for s, primes in enumerate(report.per_power, start=1)
-        ]
+    labels = {}
+    payload["per_power"] = [
+        {"s": s, "primes": _primes_json(primes, ambient, labels)}
+        for s, primes in enumerate(report.per_power, start=1)
+    ]
+    lines = [f"s={c['s']}: {_primes_text(c['primes'])}" for c in payload["per_power"]]
     if report.persistence_ok:
         lines.append("persistence: OK")
     else:
@@ -311,11 +295,10 @@ def cmd_stability(args) -> int:
                 f"astab: {report.astab_value} (empirical, uncertified "
                 f"beyond s_max={args.smax})"
             )
-    _emit(args, payload, lines)
-    return exit_code
+    return payload, lines, exit_code
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[dict, list[str], int]:
     _cap(args, args.n + 1 > MAX_VARIABLES, f"{args.n + 1} variables > {MAX_VARIABLES}")
     _cap(args, args.s > MAX_POWER, f"s={args.s} > {MAX_POWER}")
     cert = build_star_witness(args.n, args.t, args.s)
@@ -338,11 +321,10 @@ def cmd_witness(args) -> int:
         lines.append(
             f"MISMATCH: witness fails at n={args.n} t={args.t} s={args.s}"
         )
-    _emit(args, payload, lines)
-    return OK if (passes and divides) else INTEGRITY_ERROR
+    return payload, lines, OK if (passes and divides) else INTEGRITY_ERROR
 
 
-def cmd_gap(args) -> int:
+def cmd_gap(args) -> tuple[dict, list[str], int]:
     _cap(args, (args.smax or 0) > MAX_POWER, f"smax={args.smax} > {MAX_POWER}")
     _cap(args, args.m > GAP_FAMILY_CAP, f"m={args.m}")
     report = verify_gap(args.m, s_max=args.smax)
@@ -370,11 +352,10 @@ def cmd_gap(args) -> int:
             f"MISMATCH at m={report.m}: oracle tail starts at "
             f"s={report.oracle_astab}, formula says s={report.astab}"
         )
-    _emit(args, payload, lines)
-    return INTEGRITY_ERROR if report.refuted else OK
+    return payload, lines, INTEGRITY_ERROR if report.refuted else OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[dict, list[str], int]:
     obj = _load_input(args)
     if not isinstance(obj, Graph):
         raise CommandError("sweep needs a graph file")
@@ -407,12 +388,13 @@ def cmd_sweep(args) -> int:
                 if not match:
                     mismatch = True
                     only = [
-                        _primes_text(a - b, obj.vertices) or "none"
+                        _primes_text(_primes_json(a - b, obj.vertices, labels))
+                        or "none"
                         for a, b in ((oracle, predicted), (predicted, oracle))
                     ]
                     line += f" oracle-only: {only[0]}; predicted-only: {only[1]}"
             lines.append(line)
-            if args.format == "json":
+            if args.format == "json":  # text prints counts only
                 oracle_json = _primes_json(oracle, obj.vertices, labels)
                 cell = {"t": t, "s": s, "oracle": oracle_json}
                 if is_tree:
@@ -431,8 +413,7 @@ def cmd_sweep(args) -> int:
         "result: "
         + ("MISMATCH found" if mismatch else "all cells consistent")
     )
-    _emit(args, payload, lines)
-    return INTEGRITY_ERROR if mismatch else OK
+    return payload, lines, INTEGRITY_ERROR if mismatch else OK
 
 
 _FILE = ("file", {"help": "graph or hypergraph text file"})
@@ -540,6 +521,18 @@ def _parse_plain(argv) -> argparse.Namespace | None:
     return argparse.Namespace(handler=handler, command=argv[0], **values)
 
 
+def _run(args) -> int:
+    """Run the command `args` names and print its error, or its result: a
+    handler returns its JSON payload, its text lines and its exit code."""
+    try:
+        payload, lines, exit_code = args.handler(args)
+    except (CommandError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return OPERATIONAL_ERROR
+    _emit(args, payload, lines)
+    return exit_code
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # A well-formed command line is read off the table with no parser
@@ -548,11 +541,7 @@ def main(argv=None) -> int:
     args = _parse_plain(argv)
     if args is None:
         args = _build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except (CommandError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return OPERATIONAL_ERROR
+    return _run(args)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ their own (a hash seed, a closed stdout) run `python -m covertool.cli`.
 """
 
 import argparse
+import ast
 import functools
 import gc
 import hashlib
@@ -25,7 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertool import cli, hypercovers, monomials
+from covertool.catalog import graph_corpus, hypergraph_corpus
 from covertool.cli import main
+from covertool.graphs import graph_to_text, hypergraph_to_text
 from covertool.monomials import MonomialPrime, sorted_primes
 from covertool.record import replace
 
@@ -529,6 +532,19 @@ class TestErrorsAndFormats:
             "in position 0: invalid start byte\n"
         )
 
+    def test_undecodable_byte_is_placed_by_its_file_offset(self, tmp_path, capsys):
+        # 0xe9 is byte 29 of the plain file and byte 32 of the marked one.
+        text = b"vertices: a b\nedge: a b\n# caf\xe9\n"
+        for data, offset in ((text, 29), (b"\xef\xbb\xbf" + text, 32)):
+            path = tmp_path / f"at{offset}.graph"
+            path.write_bytes(data)
+            code, out, err = run(capsys, "ideal", str(path))
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 "
+                f"in position {offset}: invalid continuation byte\n"
+            )
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -753,6 +769,82 @@ class TestJsonWriter:
         assert out == _stdlib_json(payload) + "\n"
 
 
+def _joined(label_lists) -> str:
+    return ", ".join("<" + ", ".join(labels) + ">" for labels in label_lists)
+
+
+def test_text_and_json_report_the_same_answer(graph_file, capsys):
+    # Each text line that lists primes is its JSON label lists joined;
+    # a `sweep` line gives each cell's oracle count and verdict.
+    def both(*argv):
+        code, out, err = run(capsys, *argv)
+        json_code, json_out, json_err = run(capsys, *argv, "--format", "json")
+        assert (json_code, json_err) == (code, err), argv
+        return out.splitlines(), json.loads(json_out) if code != 1 else None
+
+    def check_ass(*argv):
+        lines, payload = both("ass", *argv)
+        if payload is not None:
+            keys = [k for k in ("direct", "localized", "predicted") if k in payload]
+            listed = [line for line in lines if line.split(":")[0] in keys]
+            assert listed == [f"{k}: {_joined(payload[k])}" for k in keys], argv
+
+    def check_stability(*argv):
+        lines, payload = both("stability", *argv)
+        if payload is not None:
+            listed = [line for line in lines if line.startswith("s=")]
+            assert listed == [
+                f"s={c['s']}: {_joined(c['primes'])}" for c in payload["per_power"]
+            ], argv
+
+    for name, g in graph_corpus():
+        path = graph_file(graph_to_text(g), f"{name}.graph")
+        for t in map(str, range(1, g.max_degree() + 1)):
+            check_ass("--t", t, "--s", "2", "--mode", "both", path)
+            if g.is_tree():
+                check_ass("--t", t, "--s", "2", "--mode", "both", "--predict", path)
+            check_stability("--t", t, "--smax", "3", path)
+            lines, payload = both("sweep", "--t", t, "--smax", "3", path)
+            if payload is not None:
+                assert len(lines) == len(payload["cells"]) + 1, name
+                for line, cell in zip(lines, payload["cells"]):
+                    words = line.split()
+                    assert words[:3] == [
+                        f"t={cell['t']}", f"s={cell['s']}", f"|Ass|={len(cell['oracle'])}"
+                    ], line
+                    assert ("MATCH" in words) == cell.get("match", False), line
+    for name, h in hypergraph_corpus():
+        path = graph_file(hypergraph_to_text(h), f"{name}.graph")
+        check_ass("--s", "2", path)
+        check_stability("--smax", "3", path)
+
+
+def test_results_are_printed_in_one_place():
+    # A handler returns its payload, lines and exit code; `_run` prints
+    # them through `_emit`, and only `_emit` and `sweep` read the format.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def calls(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    handlers = [f for name, f in functions.items() if name.startswith("cmd_")]
+    assert len(handlers) == len(cli._SUBCOMMANDS)
+    assert not [
+        f.name for f in handlers
+        if any(calls(n, "_emit") or calls(n, "print") for n in ast.walk(f))
+    ]
+    emits = [n for n in ast.walk(tree) if calls(n, "_emit")]
+    assert len(emits) == 1 and emits[0] in set(ast.walk(functions["_run"]))
+    readers = [
+        name for name, f in functions.items()
+        for n in ast.walk(f)
+        if isinstance(n, ast.Attribute) and n.attr == "format"
+        and getattr(n.value, "id", None) == "args"
+    ]
+    assert readers == ["_emit", "cmd_sweep"]
+
+
 def _outcome(argv, capsys, run_main=main):
     try:
         code = run_main(argv)
@@ -764,12 +856,7 @@ def _outcome(argv, capsys, run_main=main):
 
 def _full_parser_main(argv):
     """`main` as it runs with the full six-subcommand parser alone."""
-    args = cli._build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except (cli.CommandError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return cli.OPERATIONAL_ERROR
+    return cli._run(cli._build_parser().parse_args(argv))
 
 
 def _subcommands(parser):
