@@ -394,16 +394,15 @@ def cmd_sweep(args) -> tuple[dict, list[str], int]:
                     ]
                     line += f" oracle-only: {only[0]}; predicted-only: {only[1]}"
             lines.append(line)
-            if args.format == "json":  # text prints counts only
-                oracle_json = _primes_json(oracle, obj.vertices, labels)
-                cell = {"t": t, "s": s, "oracle": oracle_json}
-                if is_tree:
-                    cell["match"] = match
-                    cell["predicted"] = (
-                        oracle_json if match
-                        else _primes_json(predicted, obj.vertices, labels)
-                    )
-                cells.append(cell)
+            oracle_json = _primes_json(oracle, obj.vertices, labels)
+            cell = {"t": t, "s": s, "oracle": oracle_json}
+            if is_tree:
+                cell["match"] = match
+                cell["predicted"] = (
+                    oracle_json if match
+                    else _primes_json(predicted, obj.vertices, labels)
+                )
+            cells.append(cell)
     payload = {
         "ambient": list(obj.vertices),
         "tree": is_tree,

@@ -350,24 +350,18 @@ def unit_ideal(ambient) -> MonomialIdeal:
 
 # The engine holds the powers of an ideal I as pairs (classes, reps):
 # the classes of I, which fix all its powers (see `_classes`), and the
-# power's canonical generators, one per orbit.  I itself is the pair
-# (None, I.gens), whose classes are not yet known.
+# power's canonical generators, one per orbit.
 
-def _with_classes(nvars: int, classes, reps):
-    """The pair with its classes: as held, or, for classes None, found
-    from the generators reps, of which the canonical ones are kept."""
-    if classes is None:
-        classes = _classes(reps, nvars)
-        if classes:
-            reps = [g for g in reps if _canonical(g, classes) == g]
-    return classes, reps
+def _pair(I: MonomialIdeal):
+    """The pair of I: its classes and its canonical generators."""
+    classes = _classes(I.gens, I.nvars)
+    return classes, [g for g in I.gens if _canonical(g, classes) == g]
 
 
 def _power_step(classes, reps, I: MonomialIdeal):
     """The pair of power * I, for the pair of a power of I: the canonical
     products of reps with every generator of I, minimalized, under the
     classes of I."""
-    classes, reps = _with_classes(I.nvars, classes, reps)
     # A product of a canonical r with h can be out of order only in the
     # classes that meet the support of h.
     factors = [(h, [c for c in classes if any(h[i] for i in c)]) for h in I.gens]
@@ -380,9 +374,9 @@ def _power_step(classes, reps, I: MonomialIdeal):
 
 
 def _powers(I: MonomialIdeal):
-    """The pairs of I, I^2, I^3, ...: I as it is, then each power
+    """The pairs of I, I^2, I^3, ...: `_pair(I)`, then each power
     stepped from the one before by `_power_step`."""
-    pair = None, I.gens
+    pair = _pair(I)
     while True:
         yield pair
         pair = _power_step(*pair, I)
@@ -414,7 +408,7 @@ def ideal_power(I: MonomialIdeal, s: int) -> MonomialIdeal:
     if s == 0:
         return unit_ideal(I.ambient)
     classes, reps = _power(I, s)
-    orbits = _orbits(reps, classes or ())
+    orbits = _orbits(reps, classes)
     if len(orbits) > len(reps):  # the expansion broke the canonical order
         orbits = sorted(orbits, key=_canon_key)
     return MonomialIdeal(I.ambient, tuple(orbits))
@@ -460,15 +454,10 @@ def _decompose(nvars: int, classes, reps):
     behind irreducible_decomposition and the associated primes, and
     behind the square-free duals past the limit (see `_squarefree_dual`).
 
-    A power starts from the classes of its base and its canonical
-    generators.  A box that `_box` admits goes to the box kernel,
-    `staircase._staircase`.  Its cost barely grows with the generators,
-    so an ideal whose classes are not known (None) is read as it is: on
-    the 165 ideals J_t, t up to the largest degree, of every tree on 2
-    to 8 vertices, `associated_primes` took 18.5-19.6 ms when they found
-    their classes first, against 9.5-9.9 ms.  Larger boxes go to the
-    incremental loop, `loop._components`, for which such an ideal first
-    finds its classes.  Nothing else calls either kernel.
+    A box that `_box` admits goes to the box kernel,
+    `staircase._staircase`; larger boxes go to the incremental loop,
+    `loop._components`.  Both run on the classes the pair holds.
+    Nothing else calls either kernel.
 
     Both kernels were timed on 161 cells, powers 2 to 4 of J_2 and J_3
     of 7 or 8 trees on each of 8, 9 and 10 vertices and powers 2 to 5
@@ -491,14 +480,12 @@ def _decompose(nvars: int, classes, reps):
     kernels on stars, so the limit stays.  The `tree_sweep` boxes, at
     most 5^7 points, lie far inside it.
     """
-    held = classes or ()
-    radix = _radices(reps, held)
+    radix = _radices(reps, classes)
     top, box = max(radix), _box(radix)
     if box is not None:
-        return held, top, _staircase(box, reps, held, top)
+        return classes, top, _staircase(box, reps, classes, top)
     from .loop import _components  # only past-limit cells load the loop
 
-    classes, reps = _with_classes(nvars, classes, reps)
     return classes, top, _components(reps, nvars, top, classes)
 
 
@@ -509,7 +496,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
         raise ValueError("the zero ideal has no irreducible decomposition here")
     if I.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
-    classes, top, vecs = _decompose(I.nvars, None, I.gens)
+    classes, top, vecs = _decompose(I.nvars, *_pair(I))
     comps = [
         tuple((i, e) for i, e in enumerate(v) if e != top)
         for v in _orbits(vecs, classes)
@@ -556,12 +543,10 @@ def _walk(I: MonomialIdeal, s_max: int):
     the box of I^s_max, radix s_max * m_i + 1 with m_i the largest
     exponent of x_i in I, passes `_box`, no power is built: the values
     are the points of each power in that one box, read on the classes of
-    I (`staircase._box_powers`).  For I alone or a larger box they are
-    the pairs of the powers (see `_powers`), each decomposed.  I alone
-    skips the box: on the 165 J_t of `_decompose`, Ass(I) read from the
-    box of I took 22.7-23.5 ms, against 9.6-10.0 ms decomposed.
+    I (`staircase._box_powers`).  For a larger box they are the pairs
+    of the powers (see `_powers`), each decomposed.
     """
-    box = _box([1 + s_max * x for x in map(max, zip(*I.gens))]) if s_max > 1 else None
+    box = _box([1 + s_max * x for x in map(max, zip(*I.gens))])
     if box is not None:
         return _box_powers(box, I.gens, _classes(I.gens, I.nvars))
 

@@ -566,8 +566,7 @@ class TestErrorsAndFormats:
         assert out.strip() and "error" not in out
 
     # An input with two faults: the one reported is fixed by the order
-    # of the checks (the file and its variable cap, the power caps, then
-    # each command's own).
+    # of the checks that README gives.
     @pytest.mark.parametrize(
         "argv, err",
         [
@@ -587,6 +586,10 @@ class TestErrorsAndFormats:
             ("witness --n 12 --t 0 --s 7", "cap exceeded: 13 variables > 12"),
             ("gap --m 4 --smax 7", "cap exceeded: smax=7 > 6"),
             ("sweep h13", "cap exceeded: 13 variables > 12"),
+            ("ass --t 1 --s 0 --mode localized h1", "localized mode needs a graph file"),
+            ("ass --t 1 --s 0 --predict h1", "closed form proven only for trees"),
+            ("sweep --t 9 --smax 9 star3", "t=9 exceeds the maximum degree 3"),
+            ("sweep --smax 9 h1", "sweep needs a graph file"),
         ],
     )
     def test_first_of_two_faults_is_reported(self, graph_file, capsys, argv, err):
@@ -821,7 +824,7 @@ def test_text_and_json_report_the_same_answer(graph_file, capsys):
 
 def test_results_are_printed_in_one_place():
     # A handler returns its payload, lines and exit code; `_run` prints
-    # them through `_emit`, and only `_emit` and `sweep` read the format.
+    # them through `_emit`, and only `_emit` reads the format.
     tree = ast.parse(Path(cli.__file__).read_text())
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
 
@@ -842,7 +845,7 @@ def test_results_are_printed_in_one_place():
         if isinstance(n, ast.Attribute) and n.attr == "format"
         and getattr(n.value, "id", None) == "args"
     ]
-    assert readers == ["_emit", "cmd_sweep"]
+    assert readers == ["_emit"]
 
 
 def _outcome(argv, capsys, run_main=main):

@@ -637,6 +637,36 @@ class TestHeldRepresentatives:
             supports = {c.support for c in irreducible_decomposition(power)}
             assert {p.support for p in associated_primes(power)} == supports, key
 
+    def test_every_decomposed_pair_holds_the_classes_of_its_base(self, monkeypatch):
+        # Every pair `_decompose` reads, I's own included, carries the
+        # classes of I, under the limit as it is and at 0, where every
+        # read goes to the incremental loop.
+        ideals = [
+            partial_cover_ideal(g, t)
+            for _, g in graph_corpus()
+            for t in range(1, g.max_degree() + 1)
+        ]
+        ideals += [hypergraph_cover_ideal(h) for _, h in hypergraph_corpus()]
+        ideals += [star_generators(n, t) for n in range(1, 8) for t in range(1, n + 1)]
+        for limit in (monomials._STAIRCASE_MAX_BITS, 0):
+            monkeypatch.setattr(monomials, "_STAIRCASE_MAX_BITS", limit)
+            for I in ideals:
+                irreducible_decomposition.cache_clear()  # a memo hides the call
+                with mock.patch.object(
+                    monomials, "_decompose", wraps=monomials._decompose
+                ) as spy:
+                    associated_primes(I)
+                    irreducible_decomposition(I)
+                    for s in range(1, 4):
+                        power_primes(I, s)
+                    associated_primes_of_powers(I, 3)
+                classes = classes_of_gens(I.gens, I.nvars)
+                held = [call.args[1] for call in spy.call_args_list]
+                assert held and all(
+                    type(c) is tuple and c == classes for c in held
+                ), (limit, I)
+                assert next(monomials._powers(I)) == monomials._pair(I), I
+
 
 class TestDecomposition:
     def test_embedded_prime_textbook_case(self):
@@ -1081,7 +1111,7 @@ def _kernels_agree(I):
     canonical component vector once, the same set as the incremental
     loop, and their orbits are the reference decomposition.  Returns
     the classes, representatives and staircase vectors."""
-    classes, reps = monomials._with_classes(I.nvars, None, I.gens)
+    classes, reps = monomials._pair(I)
     box = Box(monomials._radices(reps, classes))
     top = max(box.radix)
     stair = monomials._staircase(box, reps, classes, top)
@@ -1354,7 +1384,7 @@ class TestStaircaseKernel:
         ]:
             assert math.prod(1 + max(column) for column in zip(*I.gens)) == box
             picked.clear()
-            monomials._decompose(I.nvars, None, I.gens)
+            monomials._decompose(I.nvars, *monomials._pair(I))
             assert picked == [kernel], I
             _kernels_agree(I)
 
