@@ -1600,6 +1600,16 @@ class TestSinglePower:
             with pytest.raises(ValueError, match=message):
                 power_contains(I, 2, [(0, 0, 0, 0), point])
 
+    def test_zero_variables(self):
+        # In no variable the unit ideal is {1}, with every power {1}, and
+        # the zero ideal has no generator; () is their one point.
+        one, zero = unit_ideal(()), zero_ideal(())
+        for s in (0, 1, 2, 3):
+            assert ideal_power(one, s) == one and str(ideal_power(one, s)) == "[1]"
+            assert ideal_power(zero, s) == (one if s == 0 else zero)
+            assert power_contains(one, s, [()]) == [True]
+            assert power_contains(zero, s, [(), ()]) == [s == 0] * 2
+
     def test_generator_past_the_query_box(self):
         # a^3 does not fit the box of the queries (radix 2 on a), so it
         # must be left out of the shifts, not shifted by a negative count.
@@ -1631,7 +1641,8 @@ class TestSinglePower:
 def _vector_supports(I, s):
     """Ass(I^s) by the vector reader: the supports of the canonical
     component vectors of the pair of I^s, expanded by `_orbits`."""
-    classes, top, vecs = monomials._decompose(I.nvars, *monomials._power(I, s))
+    classes, reps = monomials._power(I, s)
+    top, vecs = monomials._decompose(I.nvars, classes, reps)
     return {
         frozenset(i for i, x in enumerate(v) if x != top)
         for v in monomials._orbits(vecs, classes)
@@ -1725,8 +1736,14 @@ class TestSupportMasks:
 def membership_cases(draw):
     """An ideal, unit ideal included, with up to two variables in no
     generator; a power s <= 3; and points up to 10 in each entry, past
-    s * m_i where the query box clamps them."""
-    I = draw(ideals_strategy(allow_trivial=True))
+    s * m_i where the query box clamps them.  Half the ideals are
+    symmetric, so that classes hold generators with entries above 1."""
+    I = draw(
+        st.one_of(
+            ideals_strategy(allow_trivial=True),
+            symmetric_ideals_strategy().map(operator.itemgetter(0)),
+        )
+    )
     absent = draw(st.sets(st.integers(0, NVARS - 1), max_size=2))
     gens = [tuple(0 if i in absent else x for i, x in enumerate(g)) for g in I.gens]
     points = st.tuples(*[st.integers(0, 10)] * NVARS)
@@ -1759,6 +1776,72 @@ def test_power_membership_matches_the_built_power(case):
     I, s, points = case
     power = ideal_power(I, s)
     assert power_contains(I, s, points) == [contains(power, x) for x in points]
+
+
+def _visits(I, s, points):
+    """The answers of power_contains(I, s, points) and every vector its
+    search visited, unpacked: each frame's vector passes through
+    `monomials._ties`, with fields as wide as `power_contains` lays
+    them out."""
+    bound = max(itertools.chain(*points, *I.gens), default=0)
+    width, _ = monomials._layout(bound, I.nvars)
+    low = (1 << (width - 1)) - 1
+    with mock.patch.object(monomials, "_ties", wraps=monomials._ties) as spy:
+        answers = power_contains(I, s, points)
+    fields = range(0, I.nvars * width, width)
+    return answers, [
+        tuple(call.args[0] >> f & low for f in fields) for call in spy.call_args_list
+    ]
+
+
+def _canonical_visits(I, s, points):
+    """Assert that every vector the membership search visits is its own
+    canonical form, and return how many it visited beyond the points.
+    The tie rule and the sort of generators with an entry above 1 keep
+    them so; without either the answers stay right and only the memo
+    holds one orbit many times, so no answer test sees the difference."""
+    answers, visited = _visits(I, s, points)
+    classes = _classes(I)
+    for v in visited:
+        assert monomials._canonical(v, classes) == v, (I, s, v)
+    starts = {monomials._canonical(x, classes) for x in points}
+    assert answers == power_contains(I, s, points)
+    return len(set(visited) - starts)
+
+
+class TestCanonicalVisits:
+    def test_star_witness_cells(self):
+        # Every witness cell with n <= 8 (127 cells), on T and x_i T.
+        cells = deeper = 0
+        for n in range(2, 9):
+            for t in range(2, n + 1):
+                for s in range(1, 7):
+                    if not max_ideal_in_ass_star(n, t, s):
+                        continue
+                    J, T = star_generators(n, t), build_star_witness(n, t, s).T
+                    probes = [T] + [
+                        T[:i] + (T[i] + 1,) + T[i + 1 :] for i in range(len(T))
+                    ]
+                    cells += 1
+                    deeper += _canonical_visits(J, s, probes) > 0
+        # Only the 7 cells at s = 1 (t = n) visit no vector past T.
+        assert (cells, deeper) == (127, 120)
+
+    @settings(max_examples=100, deadline=None)
+    # a^2 divides (3, 2) and leaves (1, 2): only the sort of a generator
+    # with an entry above 1 makes that child (2, 1).
+    @example(
+        (minimalize(X4, [(2, 0, 0, 0), (0, 2, 0, 0)]), [(0, 1), (2, 3)]),
+        2,
+        [(3, 2, 0, 0)],
+    )
+    @given(
+        symmetric_ideals_strategy(),
+        st.integers(1, 3),
+        st.lists(st.tuples(*[st.integers(0, 6)] * NVARS), min_size=1, max_size=4),
+    )
+    def test_symmetric_ideals(self, case, s, points):
+        _canonical_visits(case[0], s, points)
 
 
 class TestMembershipReference:
