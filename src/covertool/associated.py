@@ -54,7 +54,8 @@ class StabilityReport(Record):
 
 
 class WitnessCertificate(Record):
-    """An explicit monomial T with J^s : T = P, checked by the oracle.
+    """An explicit monomial T with J^s : T = m, the maximal ideal,
+    checked by the oracle.
 
     e is the exponent of the leading z factor, s0 the least power at
     which the maximal ideal becomes associated.  empty_word marks the
@@ -66,7 +67,7 @@ class WitnessCertificate(Record):
     """
 
     __slots__ = (
-        "T", "s", "P", "not_in_power", "colon_equals_prime", "annihilator_divides", "n",
+        "T", "s", "not_in_power", "colon_equals_prime", "annihilator_divides", "n",
         "t", "s0", "e", "empty_word",
     )
 
@@ -308,7 +309,6 @@ def build_star_witness(n: int, t: int, s: int) -> WitnessCertificate:
     return WitnessCertificate(
         T=T,
         s=s,
-        P=MonomialPrime(frozenset(range(nv))),
         not_in_power=not_in,
         colon_equals_prime=colon_ok,
         annihilator_divides=_divides_annihilator_bound(T, s),

@@ -307,7 +307,6 @@ def cmd_witness(args) -> tuple[dict, list[str], int]:
     divides = passes and cert.annihilator_divides
     payload = {**fields(cert), "T": monomial_str(cert.T, ambient)}
     payload["annihilator_divides"] = divides
-    del payload["P"]
     lines = [
         f"T = {monomial_str(cert.T, ambient)}  (s0={cert.s0}, e={cert.e})"
         + ("  [empty word boundary]" if cert.empty_word else ""),

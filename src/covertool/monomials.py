@@ -375,14 +375,14 @@ def _ties(x: int, apart, fill: int) -> int:
 
 
 def _power_step(classes, reps, I: MonomialIdeal):
-    """The pair of power * I, for the pair of a power of I: the canonical
-    products r + h of reps with the generators of I, minimalized, where h
-    does not rise (h_i < h_j) on a tie of r (r_i = r_j, j next in i's
-    class).  A tie's transposition fixes r and the generators, so these h
-    reach every orbit of products, and for h of 0s and 1s r + h is then
-    canonical: between runs of equal entries a step of at least 1 absorbs
-    a change of at most 1.  Only classes where h exceeds 1 are sorted.
-    Steps of K_{1,3..10} to s = 4 took 125 ms, now 37 ms (see README)."""
+    """The canonical generators of power * I, for those of a power of I:
+    the canonical products r + h of reps with the generators of I,
+    minimalized, where h does not rise (h_i < h_j) on a tie of r (r_i =
+    r_j, j next in i's class).  A tie's transposition fixes r and the
+    generators, so these h reach every orbit of products, and for h of
+    0s and 1s r + h is then canonical: between runs of equal entries a
+    step of at least 1 absorbs a change of at most 1.  Only classes
+    where h exceeds 1 are sorted."""
     width, H = _layout(max(itertools.chain(*reps, *I.gens), default=0), I.nvars)
     apart, fill = _apart(classes, width), H - (H >> width - 1)
     factors = [
@@ -399,16 +399,16 @@ def _power_step(classes, reps, I: MonomialIdeal):
         if not rises & ties
         for prod in [tuple(map(operator.add, r, h))]
     }
-    return classes, _minimalize_exps(prods)
+    return _minimalize_exps(prods)
 
 
 def _powers(I: MonomialIdeal):
-    """The pairs of I, I^2, I^3, ...: `_pair(I)`, then each power
-    stepped from the one before by `_power_step`."""
-    pair = _pair(I)
+    """The pairs of I, I^2, I^3, ...: `_pair(I)`, then each power's reps
+    stepped from the one before by `_power_step`, under I's classes."""
+    classes, reps = _pair(I)
     while True:
-        yield pair
-        pair = _power_step(*pair, I)
+        yield classes, reps
+        reps = _power_step(classes, reps, I)
 
 
 def _power(I: MonomialIdeal, s: int):
@@ -461,8 +461,8 @@ _STAIRCASE_MAX_BITS = 1 << 18  # see _decompose
 
 def _box(radix) -> Box | None:
     """The box of these radices, or None past `_STAIRCASE_MAX_BITS`
-    points: the one test of whether the staircase reads an ideal or a
-    chain of powers (see `_decompose`)."""
+    points: the one reader of the limit, asked by `_decompose`,
+    `_squarefree_dual` and the walk's gate, `_walk_box`."""
     return Box(radix) if math.prod(radix) <= _STAIRCASE_MAX_BITS else None
 
 
@@ -488,14 +488,9 @@ def _decompose(nvars: int, classes, reps):
     `loop._components`.  Both run on the classes the pair holds.
     Nothing else calls either kernel.
 
-    Both kernels were timed on 161 cells, powers 2 to 4 of J_2 and J_3
-    of 7 or 8 trees on each of 8, 9 and 10 vertices and powers 2 to 5
-    of stars K_{1,6} to K_{1,10}.  The staircase was faster on all 99
-    boxes of at most 2^17 points, on 11 of the 14 in (2^17, 2^18] and on
-    19 of the 21 in (2^18, 2^19].  There t = 2 star cells, whose few
-    orbits keep the incremental loop short, lost by up to 1.35 times;
-    above 2^19 cells lost by up to 25 times.  Every tree on 10 vertices
-    took as long with the limit at 2^18, 2^19 or 2^20.
+    Timed on 161 tree and star cells (see README), the staircase was
+    faster on nearly every box of at most 2^18 points and lost by up to
+    25 times above 2^19.
 
     Once the loop skipped the orbit members no held component misses,
     both kernels were timed again, best of three, on the 69 star cells
@@ -566,25 +561,31 @@ def associated_primes(I: MonomialIdeal) -> frozenset[MonomialPrime]:
     return power_primes(I, 1)
 
 
+def _walk_box(I: MonomialIdeal, s_max: int) -> Box | None:
+    """The walk's gate (see `_walk`): `_box` on the box of I^s_max, radix
+    1 + s_max * m_i with m_i the largest exponent of x_i in I."""
+    return _box([1 + s_max * x for x in map(max, zip(*I.gens))])
+
+
 def _walk(I: MonomialIdeal, s_max: int):
-    """(read, powers): powers yields one value for each of I, I^2, ...,
-    and read takes one to the classes and the distinct support masks of
-    that power's canonical components, which `_primes` expands.  While
-    the box of I^s_max, radix s_max * m_i + 1 with m_i the largest
-    exponent of x_i in I, passes `_box`, no power is built: the values
-    are the points of each power in that one box, read on the classes of
-    I (`staircase._box_powers`).  For a larger box they are the pairs
-    of the powers (see `_powers`), each decomposed.
+    """(classes, read, powers): the classes of I, which fix all its
+    powers; powers yields one value for each of I, I^2, ..., and read
+    takes one to the distinct support masks of that power's canonical
+    components, which `_primes` expands on the classes.  Where
+    `_walk_box` gives a box, no power is built: the values are the
+    points of each power in that one box (`staircase._box_powers`).
+    Otherwise they are the pairs of the powers (see `_powers`), each
+    decomposed.
     """
-    box = _box([1 + s_max * x for x in map(max, zip(*I.gens))])
+    classes, box = _classes(I.gens, I.nvars), _walk_box(I, s_max)
     if box is not None:
-        return _box_powers(box, I.gens, _classes(I.gens, I.nvars))
+        return (classes, *_box_powers(box, I.gens, classes))
 
     def read(pair):
         top, vecs = _decompose(I.nvars, *pair)
-        return pair[0], {sum(1 << i for i, x in enumerate(v) if x != top) for v in vecs}
+        return {sum(1 << i for i, x in enumerate(v) if x != top) for v in vecs}
 
-    return read, _powers(I)
+    return classes, read, _powers(I)
 
 
 def associated_primes_of_powers(
@@ -594,8 +595,8 @@ def associated_primes_of_powers(
     each read and dropped."""
     _check_proper(I)
     _check_positive("s_max", s_max)
-    read, powers = _walk(I, s_max)
-    return [_primes(*read(power)) for power in itertools.islice(powers, s_max)]
+    classes, read, powers = _walk(I, s_max)
+    return [_primes(classes, read(power)) for power in itertools.islice(powers, s_max)]
 
 
 def power_primes(I: MonomialIdeal, s: int) -> frozenset[MonomialPrime]:
@@ -603,8 +604,8 @@ def power_primes(I: MonomialIdeal, s: int) -> frozenset[MonomialPrime]:
     power's support masks are read."""
     _check_power(s)
     _check_proper(I if s else unit_ideal(I.ambient))  # I^0 is the unit ideal
-    read, powers = _walk(I, s)
-    return _primes(*read(next(itertools.islice(powers, s - 1, None))))
+    classes, read, powers = _walk(I, s)
+    return _primes(classes, read(next(itertools.islice(powers, s - 1, None))))
 
 
 def power_contains(I: MonomialIdeal, s: int, points) -> list[bool]:
@@ -616,8 +617,7 @@ def power_contains(I: MonomialIdeal, s: int, points) -> list[bool]:
     which fix every power (see `_classes`), packed (see `_layout`) with
     fields wide enough for the generators as well as the points.  As in
     `_power_step`, it tries on x only the g that do not fall (g_i > g_j)
-    on a tie of x and sorts x - g only where g has an entry above 1; the
-    witness checks of the 127 star cells with n <= 8 took 33, now 23 ms."""
+    on a tie of x and sorts x - g only where g has an entry above 1."""
     _check_power(s)
     points = list(points)  # an iterator would be spent by the checks
     for x in points:

@@ -229,16 +229,16 @@ def supports(box: Box, tests):
 def _box_powers(box: Box, gens, classes):
     """(read, powers) for the ideal I of gens, whose classes fix all its
     powers: powers yields the points in box of I, I^2, ..., each one
-    `Shifts` step from the one before, and read takes one to its classes
-    and `supports`.  The box must hold every generator."""
-    shift, masks = Shifts(box, gens), supports(box, box.corner_tests(classes))
+    `Shifts` step from the one before, and read is `supports` on those
+    classes.  The box must hold every generator."""
+    shift = Shifts(box, gens)
 
     def powers(U=box.full):
         while True:
             U = shift(U)
             yield U
 
-    return (lambda U: (classes, masks(U))), powers()
+    return supports(box, box.corner_tests(classes)), powers()
 
 
 def transversals(box: Box, masks) -> list[int]:

@@ -139,13 +139,14 @@ class TestPredictStar:
             assert associated_primes(power) == expected, (n, t, s)
 
     def test_oracle_past_the_staircase_limit(self):
-        # Boxes of 3.9e8, 6.1e7, 3.6e8 and 4.9e7 points, all decomposed
-        # by the incremental loop: 24,237, 89,770, 200,222 and 313,973
-        # components.
+        # Boxes of 3.9e8, 6.1e7, 3.6e8 and 4.9e7 points, past the walk's
+        # gate and all decomposed by the incremental loop: 24,237,
+        # 89,770, 200,222 and 313,973 components.
         for n, t, s in ((8, 2, 8), (9, 3, 5), (10, 3, 5), (10, 4, 4)):
-            assert (s + 1) ** (n + 1) > monomials._STAIRCASE_MAX_BITS
+            J = star_generators(n, t)
+            assert monomials._walk_box(J, s) is None, (n, t, s)
             expected = predict_ass_star(n, t, s).primes
-            assert power_primes(star_generators(n, t), s) == expected, (n, t, s)
+            assert power_primes(J, s) == expected, (n, t, s)
 
 
 class TestPredictTree:

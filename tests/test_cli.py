@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from covertool import cli, hypercovers, monomials
 from covertool.catalog import graph_corpus, hypergraph_corpus
 from covertool.cli import main
+from covertool.covers import star_generators
 from covertool.graphs import graph_to_text, hypergraph_to_text
 from covertool.monomials import MonomialPrime, sorted_primes
 from covertool.record import replace
@@ -216,8 +217,10 @@ class TestAss:
 
 
     def test_single_power_inside_the_limit_builds_none(self, graph_file, capsys):
-        # J_3 of K_{1,7} at s = 3: the box of J^3 has 4^8 points; the
-        # localized pass reads smaller boxes still.  H1 at s = 2: 3^4.
+        # J_3 of K_{1,7} at s = 3: the walk's gate admits the box of J^3,
+        # 4^8 points; the localized pass reads smaller boxes still.  H1
+        # at s = 2: 3^4.
+        assert monomials._walk_box(star_generators(7, 3), 3) is not None
         star, hyper = graph_file(STAR7), graph_file(H1, "h1.graph")
         for argv in (
             ["ass", "--t", "3", "--s", "3", star],
@@ -227,7 +230,9 @@ class TestAss:
             assert power_steps(capsys, *argv) == (0, 0, 0), argv
 
     def test_single_power_past_the_limit_is_built(self, graph_file, capsys):
-        # J_2 of K_{1,6} at s = 5: the box of J^5 has 6^7 points.
+        # J_2 of K_{1,6} at s = 5: the box of J^5, 6^7 points, lies past
+        # the walk's gate.
+        assert monomials._walk_box(star_generators(6, 2), 5) is None
         argv = ["ass", "--t", "2", "--s", "5", "--predict", graph_file(STAR6)]
         code, steps, _ = power_steps(capsys, *argv)
         assert (code, steps) == (0, 4)
@@ -317,10 +322,11 @@ class TestWitness:
 
     def test_membership_past_the_limit_builds_no_power(self, capsys, monkeypatch):
         # T = (x1...x7)^5: the probes span 2 * 7^7 points, past the
-        # staircase limit, and membership asks no gate.
-        def gate(radix):
-            raise AssertionError(f"the gate was asked for {radix}")
+        # staircase limit, and membership asks neither gate.
+        def gate(*args):
+            raise AssertionError(f"a gate was asked for {args}")
 
+        monkeypatch.setattr(monomials, "_walk_box", gate)
         monkeypatch.setattr(monomials, "_box", gate)
         argv = ["witness", "--n", "7", "--t", "2", "--s", "6"]
         code, steps, _ = power_steps(capsys, *argv)
@@ -414,9 +420,10 @@ class TestSweep:
         assert calls == []
 
     def test_past_limit_chain_caches_no_power(self, graph_file, capsys):
-        # J_2 of K_{1,7} walked to s = 7: the box of J^7 has 8^8 points,
-        # past the staircase limit, so each power is stepped from the one
+        # J_2 of K_{1,7} walked to s = 7: the box of J^7, 8^8 points, lies
+        # past the walk's gate, so each power is stepped from the one
         # before, and none is built through ideal_power.
+        assert monomials._walk_box(star_generators(7, 2), 7) is None
         path = graph_file(STAR7)
         for argv in (["sweep", "--t", "2"], ["stability", "--t", "2", "--smax", "7"]):
             assert power_steps(capsys, *argv, "--force", path) == (0, 6, 0), argv
@@ -479,7 +486,12 @@ START_UP_MODULES = [
 def test_only_past_limit_cells_load_the_loop(graph_file):
     # `_decompose` imports the incremental loop in its past-limit branch
     # alone: the CLI's import leaves it out, and Ass of J_2(K_{1,6})^5,
-    # whose box of 6^7 points is past the limit, loads it.
+    # whose box of 6^7 points lies past the walk's gate and `_decompose`'s,
+    # loads it.
+    J = star_generators(6, 2)
+    classes, reps = monomials._power(J, 5)
+    assert monomials._walk_box(J, 5) is None
+    assert monomials._box(monomials._radices(reps, classes)) is None
     star6 = graph_file(STAR6)
     src = str(Path(__file__).resolve().parent.parent / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -145,9 +145,10 @@ class TestVerifyGap:
     def test_past_the_cli_cap(self):
         # J(H_m) = J_2(K_{1,m+2}): astab = m + 1, and the oracle walks
         # s = 1..m+2, whose box of (m + 3)^(m + 3) points lies past the
-        # staircase limit from m = 4 on.
+        # walk's gate from m = 4 on.
         for m in range(4, 9):
-            assert (m + 3) ** (m + 3) > monomials._STAIRCASE_MAX_BITS
+            J = hypergraph_cover_ideal(build_gap_family(m))
+            assert monomials._walk_box(J, m + 2) is None, m
             report = verify_gap(m)
             assert not report.refuted, m
             assert report.oracle_astab == report.astab == m + 1, m

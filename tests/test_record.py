@@ -35,7 +35,7 @@ SAMPLES = {
     TreeGeneratorReport: ("x", ("x", "a"), 1, ()),
     AssReport: (("x1", "x2", "x3"), 1, 2, "oracle", frozenset({P})),
     StabilityReport: (3, (frozenset({P}),) * 3, 2, True, None),
-    WitnessCertificate: ((1, 2, 0), 3, P, True, True, True, 2, 1, 2, 1, False),
+    WitnessCertificate: ((1, 2, 0), 3, True, True, True, 2, 1, 2, 1, False),
     GapReport: (1, 2, 3, 3, 5, 2, True, False, True, True),
 }
 CLASSES = pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
