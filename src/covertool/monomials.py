@@ -543,11 +543,16 @@ def _mask_orbits(classes, masks) -> list[int]:
     return masks
 
 
-def _primes(classes, masks) -> frozenset[MonomialPrime]:
-    return frozenset(
-        MonomialPrime(frozenset(i for i in range(m.bit_length()) if m >> i & 1))
-        for m in _mask_orbits(classes, masks)
-    )
+def _primes(classes, masks, built: dict) -> frozenset[MonomialPrime]:
+    """The primes on the orbits of masks, one mask per orbit; built keeps
+    each orbit's primes by mask, for a walk to build each prime once."""
+    for m in masks:
+        if m not in built:
+            built[m] = frozenset(
+                MonomialPrime(frozenset(i for i in range(o.bit_length()) if o >> i & 1))
+                for o in _mask_orbits(classes, [m])
+            )
+    return frozenset().union(*map(built.__getitem__, masks))
 
 
 def _check_proper(I: MonomialIdeal):
@@ -592,11 +597,13 @@ def associated_primes_of_powers(
     I: MonomialIdeal, s_max: int
 ) -> list[frozenset[MonomialPrime]]:
     """Ass(I^s) for s = 1..s_max: every power of the walk (see `_walk`),
-    each read and dropped."""
+    each read and dropped.  The sets share one object per prime."""
     _check_proper(I)
     _check_positive("s_max", s_max)
     classes, read, powers = _walk(I, s_max)
-    return [_primes(classes, read(power)) for power in itertools.islice(powers, s_max)]
+    built: dict[int, frozenset[MonomialPrime]] = {}
+    powers = itertools.islice(powers, s_max)
+    return [_primes(classes, read(power), built) for power in powers]
 
 
 def power_primes(I: MonomialIdeal, s: int) -> frozenset[MonomialPrime]:
@@ -605,7 +612,7 @@ def power_primes(I: MonomialIdeal, s: int) -> frozenset[MonomialPrime]:
     _check_power(s)
     _check_proper(I if s else unit_ideal(I.ambient))  # I^0 is the unit ideal
     classes, read, powers = _walk(I, s)
-    return _primes(classes, read(next(itertools.islice(powers, s - 1, None))))
+    return _primes(classes, read(next(itertools.islice(powers, s - 1, None))), {})
 
 
 def power_contains(I: MonomialIdeal, s: int, points) -> list[bool]:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 import operator
 
+_NONZERO = bytes([0]) + bytes([1]) * 255  # a `bytes.translate` table
+
 
 def tile(block: int, period: int, size: int) -> int:
     """The pattern `block` of `period` bits repeated over `size` bits."""
@@ -184,19 +186,22 @@ def corners(box: Box, U: int, tests, top: int) -> list[tuple[int, ...]]:
 
 def _corner_offsets(box: Box, U: int, tests) -> list[int]:
     """The offsets of the corners that `corners` reads, in increasing
-    order."""
+    order.  `bytes.translate` takes each nonzero byte of the marks to 1
+    and `bytes.find` skips to the next, so zero bytes cost no Python step."""
     marks = box.full ^ U
     for shift, keep, free in tests:
         up = U >> shift
         marks &= (up if keep is None else up & keep) | free
-    data = marks.to_bytes(-(-box.size // 64) * 8, "little")
-    found = []
-    for at in itertools.compress(range(0, len(data), 8), memoryview(data).cast("Q")):
-        word = int.from_bytes(data[at : at + 8], "little")
-        while word:
-            bit = word & -word
-            word ^= bit
+    data = marks.to_bytes(box.size // 8 + 1, "little")
+    flags, found = data.translate(_NONZERO), []
+    at = flags.find(1)
+    while at >= 0:
+        byte = data[at]
+        while byte:
+            bit = byte & -byte
+            byte ^= bit
             found.append(8 * at + bit.bit_length() - 1)
+        at = flags.find(1, at + 1)
     return found
 
 
@@ -215,8 +220,9 @@ def supports(box: Box, tests):
     lo[x % at] | hi[x // at] at offset x, from the masks of the axes
     below a cut near the square root of the box size and from it.  A
     loop over the digits of x, one divmod per axis, read the 90 chains
-    of a `tree_sweep` batch in 8.5-14.0 ms against 6.7-12.2 ms, and tied
-    on 40 K_{1,6..10} chains (Python 3.11.7, 2-core VM, best of 5)."""
+    of a `tree_sweep` batch in 18.2-23.2 ms against 16.9-22.1 ms, slower
+    in 4 of 5 rounds, and tied on 40 K_{1,6..10} chains (Python 3.11.7,
+    2-core VM, best of 40 and of 5 per round)."""
     k = sum(stride * stride < box.size for stride in box.stride)
     at, tables = (box.stride + [box.size])[k], [[0], [0]]
     for i, r in enumerate(box.radix):
@@ -251,8 +257,9 @@ def transversals(box: Box, masks) -> list[int]:
     and that of a corner x is on the variables with x_i = 0 (see
     `corners`): the transversal is the complement of x, one XOR where
     `supports` would first build its tables.  Corners form an antichain.
-    Over the 150 calls of a `tree_sweep` batch this took 1.7-2.8 ms,
-    against 2.6-4.7 ms through `supports` (Python 3.11.7, 2-core VM).
+    Over the 150 calls of a `tree_sweep` batch this took 1.35-1.40 ms,
+    against 2.29-2.47 ms through `supports` (Python 3.11.7, 2-core VM,
+    best of 100, three runs).
     """
     everything = box.size - 1
     tests = box.corner_tests(())

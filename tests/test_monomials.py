@@ -33,7 +33,7 @@ from powers_reference import reference_power_contains
 from transversals import edge_ideal, reference_dual
 
 import covertool
-from covertool import loop, monomials
+from covertool import loop, monomials, staircase
 from covertool.associated import (
     astab_tree,
     build_star_witness,
@@ -1332,6 +1332,27 @@ class TestOrbitSkip:
         )
 
 
+def _is_corner(box, U, classes, x):
+    """The corner definition at offset x, bit by bit (see
+    `staircase.corners`): x is not in U and, on every axis i with
+    radix_i > 1, x_i = radix_i - 1 or x + e_i is in U.  On an axis i
+    after p in a class, x passes where x_p = x_i and fails where
+    x_p < x_i."""
+    if U >> x & 1:
+        return False
+    strides = [math.prod(box.radix[:i]) for i in range(len(box.radix))]
+    digits = [x // stride % r for r, stride in zip(box.radix, strides)]
+    before = {i: p for cls in classes for p, i in zip(cls, cls[1:])}
+    for i, r in enumerate(box.radix):
+        if i in before and digits[before[i]] <= digits[i]:
+            if digits[before[i]] < digits[i]:
+                return False
+            continue
+        if digits[i] < r - 1 and not U >> (x + strides[i]) & 1:
+            return False
+    return True
+
+
 class TestStaircaseKernel:
     def test_radix_is_the_class_maximum(self):
         # The later leaves' columns of the held representatives have
@@ -1368,6 +1389,38 @@ class TestStaircaseKernel:
             assert any(
                 v[i] == v[j] < top for v in stair for i, j in zip(leaves, leaves[1:])
             ), (n, t, s)
+
+    def test_corner_scan_against_the_definition(self):
+        # `_corner_offsets` skips the zero bytes of the mark set.  Boxes of
+        # 81 and 625 points are one more than a multiple of 8, so the top
+        # point, a corner whenever it is outside U, has a byte of its own.
+        rng = random.Random(40)
+        seen_low = seen_top = False
+        for radix, classes in [
+            ((3, 3, 3, 3), ()),
+            ((3, 3, 3, 3), ((0, 1, 2),)),
+            ((5, 5, 5, 5), ()),
+            ((5, 5, 5, 5), ((0, 1), (2, 3))),
+            ((2, 1, 3, 4), ()),
+            ((4, 1, 4, 3), ((0, 2),)),
+            ((7, 2, 1, 5), ()),
+            ((2,), ()),
+        ]:
+            box = Box(radix)
+            top = box.size - 1
+            random_sets = [
+                (rng.getrandbits(box.size) | rng.getrandbits(box.size) * dense)
+                & ~(1 << top)
+                for dense in (0, 1)
+                for _ in range(10)
+            ]
+            for U in [0, box.full, *random_sets]:
+                expected = [x for x in range(box.size) if _is_corner(box, U, classes, x)]
+                got = staircase._corner_offsets(box, U, box.corner_tests(classes))
+                assert got == expected, (radix, classes, U)
+                seen_low |= any(x < 8 for x in expected)
+                seen_top |= box.size % 8 == 1 and top in expected
+        assert seen_low and seen_top
 
     def test_gate_at_the_box_limit(self, monkeypatch):
         # Boxes of 64^3 points, exactly the limit, and 5 * 13 * 37 * 109,
@@ -1716,6 +1769,29 @@ class TestSupportMasks:
         assert kernel.call_count >= 4 * len(chains)
         for (key, _), a, b in zip(chains, opened, shut):
             assert a == b, key
+
+    def test_a_walk_builds_each_prime_once(self):
+        # On a tree with a vertex of degree 4 or more most primes persist
+        # from power to power; the sets of one walk share one object per
+        # prime, so a prime in Ass(J^s) and Ass(J^(s+1)) is one object.
+        trees = [
+            (name, g) for name, g in graph_corpus() if g.is_tree() and g.max_degree() >= 4
+        ]
+        assert {name for name, _ in trees} == {
+            "K1_4", "K1_5", "S1112", "K1_6", "broom43", "DS23"
+        }
+        shared = 0
+        for name, g in trees:
+            for t in range(1, g.max_degree() + 1):
+                J = partial_cover_ideal(g, t)
+                chain = associated_primes_of_powers(J, 4)
+                assert chain == [power_primes(J, s) for s in range(1, 5)], (name, t)
+                for s, (now, later) in enumerate(zip(chain, chain[1:]), start=1):
+                    held = {p: p for p in later}
+                    for p in filter(held.__contains__, now):
+                        assert held[p] is p, (name, t, s, p)
+                        shared += 1
+        assert shared
 
     def test_stars_with_classes_partly_in_a_support(self):
         # Each star K_{1,n} has its leaves as one class; the walk's gate
